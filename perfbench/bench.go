@@ -499,7 +499,7 @@ func runWorkload(wf *workloadFile, w *Workload, seed int64, seconds int, trace b
 	rep.add("restart_s", median(restartS), "s")
 	rep.add("affected_per_restart", perEvent("restart"), "count")
 	rep.add("affected_per_urb", perEvent("urb"), "count")
-	if err := traced(w, seed, rep); err != nil {
+	if err := traced(w, seed, workDir, rep); err != nil {
 		return nil, err
 	}
 	return rep, checkNames(rep, perLayer)

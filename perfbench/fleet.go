@@ -15,18 +15,6 @@ import (
 	"time"
 )
 
-// prSetChildSubreaper makes this process the reaper of orphaned
-// descendants, so the backends an ebid-proxy spawned can be waited for
-// after the proxy itself is killed.
-const prSetChildSubreaper = 36
-
-func becomeSubreaper() error {
-	if _, _, errno := syscall.RawSyscall(syscall.SYS_PRCTL, prSetChildSubreaper, 1, 0); errno != 0 {
-		return fmt.Errorf("prctl(PR_SET_CHILD_SUBREAPER): %w", errno)
-	}
-	return nil
-}
-
 // running is one launched program topology: a single ebid-server, or an
 // ebid-proxy with its backends.
 type running struct {
@@ -206,10 +194,15 @@ func (r *running) pids() map[int]string {
 	return out
 }
 
-// stop kills the topology and waits for every process of it, backends
-// included, to end. The proxy dies first so its supervisor cannot
-// respawn the backends; they are then orphans of this process (a
-// subreaper) and are killed and reaped here.
+// stopTimeout bounds a graceful stop. ebid-proxy's own budget is its
+// drain timeout (10 s by default) for the front, then the backends' drain
+// budget (the same plus 2 s) for its supervisor.
+const stopTimeout = 30 * time.Second
+
+// stop ends the topology and waits for it. SIGTERM takes each program
+// down its own way: ebid-server drains and flushes its WAL, and
+// ebid-proxy's supervisor stops and reaps every backend before the proxy
+// exits. Past stopTimeout the proxy and its backends are killed.
 func (r *running) stop() {
 	liveMu.Lock()
 	ok := live[r]
@@ -218,21 +211,17 @@ func (r *running) stop() {
 	if !ok {
 		return
 	}
-	_ = r.cmd.Process.Kill() // already dead is fine
-	<-r.waited
-	for i := 0; i < 3; i++ {
-		orphans := childrenOf(os.Getpid())
-		if len(orphans) == 0 {
-			break
-		}
-		for _, pid := range orphans {
-			if isTracked(pid) {
-				continue
-			}
+	_ = r.cmd.Process.Signal(syscall.SIGTERM) // already dead is fine
+	select {
+	case <-r.waited:
+	case <-time.After(stopTimeout):
+		kids := childrenOf(r.cmd.Process.Pid)
+		_ = r.cmd.Process.Kill()
+		for _, pid := range kids {
 			_ = syscall.Kill(pid, syscall.SIGKILL)
-			var ws syscall.WaitStatus
-			_, _ = syscall.Wait4(pid, &ws, 0, nil)
 		}
+		<-r.waited
+		waitGone(kids, 10*time.Second)
 	}
 	r.log.Close()
 	os.Remove(r.log.Name())
@@ -241,16 +230,18 @@ func (r *running) stop() {
 	}
 }
 
-// isTracked reports whether pid is the root of a topology still running.
-func isTracked(pid int) bool {
-	liveMu.Lock()
-	defer liveMu.Unlock()
-	for r := range live {
-		if r.cmd.Process.Pid == pid {
-			return true
+// waitGone waits until each pid has exited (gone, or a zombie for its
+// new parent to reap), or until the timeout.
+func waitGone(pids []int, timeout time.Duration) {
+	deadline := time.Now().Add(timeout)
+	for _, pid := range pids {
+		for time.Now().Before(deadline) {
+			if st, err := readStat(pid); err != nil || st.State == 'Z' {
+				break
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	return false
 }
 
 // stopAll stops every topology still running (exit and signal paths).

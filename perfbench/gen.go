@@ -32,7 +32,7 @@ type source interface {
 // and the open two-step flow it would have to redo after a session lapse.
 // Only the worker holding the user's current request touches it.
 type vuState struct {
-	cookie      string
+	cookie      []byte
 	established bool
 	authUser    int64
 	flowOp      string // first step of an open two-step flow
@@ -302,7 +302,7 @@ var firstSteps = map[string]bool{
 func (g *gen) exec(c *conn, it *item, r *result) (retryAfter time.Duration) {
 	u := &g.pop.vus[it.vu]
 	if it.newVisit && r.tries == 0 {
-		u.cookie, u.established, u.flowOp = "", false, ""
+		u.cookie, u.established, u.flowOp = u.cookie[:0], false, ""
 	}
 	fail := func(at time.Time) {
 		if !r.affected {
@@ -434,21 +434,25 @@ func (g *gen) roundTrip(c *conn, u *vuState, op, query string) (status int, body
 		g.exchanges = append(g.exchanges, exchange{id: id, took: time.Since(began)})
 		g.exMu.Unlock()
 	}
-	if cookie != "" {
-		u.cookie = cookie
+	if cookie != nil {
+		u.cookie = append(u.cookie[:0], cookie...)
 	}
 	return status, body, retryAfter, nil
 }
 
-// conn is one keep-alive HTTP/1.1 client connection. Requests are written
-// by hand and responses parsed with net/http, which keeps the client's
-// own cost per request small next to the server's.
+// conn is one keep-alive HTTP/1.1 client connection, used by the
+// generator and by the ladder's socket rungs. Requests are written by
+// hand from a reused buffer and responses are parsed in place, so once
+// its buffers are sized a request allocates nothing: the client's own
+// cost stays small next to the server's, and the allocations a socket
+// rung counts are the programs'.
 type conn struct {
-	addr string
-	c    net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-	body bytes.Buffer
+	addr   string
+	c      net.Conn
+	r      *bufio.Reader
+	req    []byte
+	body   []byte
+	cookie []byte // the last response's session cookie
 }
 
 func (c *conn) close() {
@@ -460,72 +464,190 @@ func (c *conn) close() {
 
 var errConn = errors.New("connection failed")
 
-// get sends one GET and reads the whole response. The returned body is
+var (
+	hdrContentLength = []byte("content-length:")
+	hdrChunked       = []byte("transfer-encoding: chunked")
+	hdrRetryAfter    = []byte("retry-after:")
+	hdrSetCookie     = []byte("set-cookie: " + sessionCookie + "=")
+	hdrClose         = []byte("connection: close")
+)
+
+// sessionCookie is the cookie httpfront keeps a session in.
+const sessionCookie = "EBIDSESSION"
+
+// get sends one GET and reads the whole response. The returned body and
+// setCookie (the session cookie's new value, nil when none was set) are
 // valid until the next call.
-func (c *conn) get(path, cookie string, traceID int64) (status int, body []byte, retryAfter time.Duration, setCookie string, err error) {
+func (c *conn) get(path string, cookie []byte, traceID int64) (status int, body []byte, retryAfter time.Duration, setCookie []byte, err error) {
+	b := append(c.req[:0], "GET "...)
+	b = append(b, path...)
+	b = append(b, " HTTP/1.1\r\nHost: 127.0.0.1\r\n"...)
+	if len(cookie) > 0 {
+		b = append(b, "Cookie: "+sessionCookie+"="...)
+		b = append(b, cookie...)
+		b = append(b, "\r\n"...)
+	}
+	if traceID != 0 {
+		b = append(b, "X-Bench-Req: "...)
+		b = strconv.AppendInt(b, traceID, 10)
+		b = append(b, "\r\n"...)
+	}
+	c.req = append(b, "\r\n"...)
 	for try := 0; try < 2; try++ {
 		if c.c == nil {
 			nc, err := net.DialTimeout("tcp", c.addr, 5*time.Second)
 			if err != nil {
-				return 0, nil, 0, "", fmt.Errorf("%w: %v", errConn, err)
+				return 0, nil, 0, nil, fmt.Errorf("%w: %v", errConn, err)
 			}
 			c.c = nc
 			c.r = bufio.NewReaderSize(nc, 16<<10)
-			c.w = bufio.NewWriterSize(nc, 4<<10)
 		}
-		c.w.WriteString("GET ")
-		c.w.WriteString(path)
-		c.w.WriteString(" HTTP/1.1\r\nHost: 127.0.0.1\r\n")
-		if cookie != "" {
-			c.w.WriteString("Cookie: EBIDSESSION=")
-			c.w.WriteString(cookie)
-			c.w.WriteString("\r\n")
-		}
-		if traceID != 0 {
-			c.w.WriteString("X-Bench-Req: ")
-			c.w.WriteString(strconv.FormatInt(traceID, 10))
-			c.w.WriteString("\r\n")
-		}
-		c.w.WriteString("\r\n")
 		_ = c.c.SetDeadline(time.Now().Add(60 * time.Second))
-		if err := c.w.Flush(); err != nil {
+		if _, err := c.c.Write(c.req); err != nil {
 			c.close()
 			continue // a keep-alive connection the server closed: redial once
 		}
-		resp, err := http.ReadResponse(c.r, nil)
+		status, retryAfter, setCookie, err = c.readResponse()
 		if err != nil {
 			c.close()
 			if try == 0 && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
 				continue
 			}
-			return 0, nil, 0, "", fmt.Errorf("%w: %v", errConn, err)
+			return 0, nil, 0, nil, fmt.Errorf("%w: %v", errConn, err)
 		}
-		c.body.Reset()
-		_, err = c.body.ReadFrom(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			c.close()
-			return 0, nil, 0, "", fmt.Errorf("%w: body: %v", errConn, err)
+		return status, c.body, retryAfter, setCookie, nil
+	}
+	return 0, nil, 0, nil, errConn
+}
+
+// readResponse parses one response into c.body. A response that asks to
+// close the connection closes it once read.
+func (c *conn) readResponse() (status int, retryAfter time.Duration, setCookie []byte, err error) {
+	line, err := c.r.ReadSlice('\n')
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if len(line) < 12 || !bytes.HasPrefix(line, []byte("HTTP/1.")) {
+		return 0, 0, nil, fmt.Errorf("bad status line %q", line)
+	}
+	if status = atoi(line[9:12], 10); status < 0 {
+		return 0, 0, nil, fmt.Errorf("bad status line %q", line)
+	}
+	length, chunked, closing := -1, false, false
+	for {
+		if line, err = c.r.ReadSlice('\n'); err != nil {
+			return 0, 0, nil, unexpected(err)
 		}
-		if resp.Close {
-			c.close()
+		line = bytes.TrimRight(line, "\r\n")
+		if len(line) == 0 {
+			break
 		}
-		if s := resp.Header.Get("Retry-After"); s != "" {
-			if secs, err := strconv.Atoi(s); err == nil && secs > 0 {
+		switch {
+		case hasPrefixFold(line, hdrContentLength):
+			length = atoi(bytes.TrimSpace(line[len(hdrContentLength):]), 10)
+		case hasPrefixFold(line, hdrChunked):
+			chunked = true
+		case hasPrefixFold(line, hdrRetryAfter):
+			if secs := atoi(bytes.TrimSpace(line[len(hdrRetryAfter):]), 10); secs > 0 {
 				retryAfter = time.Duration(secs) * time.Second
 			}
+		case hasPrefixFold(line, hdrClose):
+			closing = true
+		case hasPrefixFold(line, hdrSetCookie):
+			// The header line lives in the reader's buffer, which the
+			// body may overwrite: keep a copy.
+			v := line[len(hdrSetCookie):]
+			if i := bytes.IndexByte(v, ';'); i >= 0 {
+				v = v[:i]
+			}
+			c.cookie = append(c.cookie[:0], v...)
+			setCookie = c.cookie
 		}
-		for _, sc := range resp.Header["Set-Cookie"] {
-			if v, ok := strings.CutPrefix(sc, "EBIDSESSION="); ok {
-				if i := strings.IndexByte(v, ';'); i >= 0 {
-					v = v[:i]
+	}
+	c.body = c.body[:0]
+	switch {
+	case chunked:
+		for {
+			if line, err = c.r.ReadSlice('\n'); err != nil {
+				return 0, 0, nil, unexpected(err)
+			}
+			n := atoi(bytes.TrimRight(line, "\r\n"), 16)
+			if n < 0 {
+				return 0, 0, nil, fmt.Errorf("bad chunk size %q", line)
+			}
+			if n == 0 {
+				if _, err = c.r.ReadSlice('\n'); err != nil { // the empty trailer
+					return 0, 0, nil, unexpected(err)
 				}
-				setCookie = v
+				break
+			}
+			if err = c.readBody(n); err != nil {
+				return 0, 0, nil, err
+			}
+			if _, err = c.r.Discard(2); err != nil {
+				return 0, 0, nil, unexpected(err)
 			}
 		}
-		return resp.StatusCode, c.body.Bytes(), retryAfter, setCookie, nil
+	case length > 0:
+		err = c.readBody(length)
+	case length < 0 && closing:
+		var rest []byte
+		if rest, err = io.ReadAll(c.r); err == nil {
+			c.body = append(c.body, rest...)
+		}
 	}
-	return 0, nil, 0, "", errConn
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if closing {
+		c.close()
+	}
+	return status, retryAfter, setCookie, nil
+}
+
+// readBody appends the next n bytes of the response to c.body.
+func (c *conn) readBody(n int) error {
+	at := len(c.body)
+	c.body = append(c.body, make([]byte, n)...)
+	_, err := io.ReadFull(c.r, c.body[at:])
+	return unexpected(err)
+}
+
+// unexpected turns an EOF in the middle of a response into
+// io.ErrUnexpectedEOF.
+func unexpected(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+func hasPrefixFold(b, prefix []byte) bool {
+	return len(b) >= len(prefix) && bytes.EqualFold(b[:len(prefix)], prefix)
+}
+
+// atoi parses a non-negative number in base 10 or 16 without
+// allocating; it returns -1 for anything else.
+func atoi(b []byte, base int) int {
+	if len(b) == 0 {
+		return -1
+	}
+	n := 0
+	for _, x := range b {
+		var d int
+		switch {
+		case x >= '0' && x <= '9':
+			d = int(x - '0')
+		case base == 16 && x >= 'a' && x <= 'f':
+			d = int(x-'a') + 10
+		case base == 16 && x >= 'A' && x <= 'F':
+			d = int(x-'A') + 10
+		default:
+			return -1
+		}
+		n = n*base + d
+	}
+	return n
 }
 
 // timer sleeps on a timerfd read through Go's network poller. The

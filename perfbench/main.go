@@ -85,10 +85,6 @@ func main() {
 		procs = 2
 	}
 	runtime.GOMAXPROCS(procs)
-	if err := becomeSubreaper(); err != nil {
-		fmt.Fprintln(os.Stderr, "perfbench:", err)
-		os.Exit(1)
-	}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	go func() {

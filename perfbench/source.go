@@ -2,8 +2,10 @@ package main
 
 import (
 	"math/rand"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/ebid"
@@ -17,42 +19,80 @@ import (
 type zipfReads struct {
 	rng          *rand.Rand
 	items, users *rand.Zipf
+	shares       []opShare
 	vus          int
 }
 
-// zipfExponent skews popularity so a small head of items takes most
-// views, as on an auction site's front page.
+// zipfExponent is an assumption of this benchmark, not a measured
+// figure: neither the paper nor the repository fixes how popularity is
+// skewed over items and users. With 1.1 the 100 most popular of 3,300
+// items take about 70% of the views.
 const zipfExponent = 1.1
 
 func newZipfReads(seed int64, vus int, users, items int64) *zipfReads {
 	rng := rand.New(rand.NewSource(seed))
 	return &zipfReads{
-		rng:   rng,
-		items: rand.NewZipf(rng, zipfExponent, 1, uint64(items-1)),
-		users: rand.NewZipf(rng, zipfExponent, 1, uint64(users-1)),
-		vus:   vus,
+		rng:    rng,
+		items:  rand.NewZipf(rng, zipfExponent, 1, uint64(items-1)),
+		users:  rand.NewZipf(rng, zipfExponent, 1, uint64(users-1)),
+		shares: readShares(),
+		vus:    vus,
 	}
 }
 
-// readShares is read-hot's operation mix (cumulative), over the read-only
-// DB and search operations of Table 1.
-var readShares = []struct {
+// opShare is one operation's cumulative share of a mix.
+type opShare struct {
 	upTo float64
 	op   string
-}{
-	{0.40, ebid.ViewItem},
-	{0.55, ebid.ViewUserInfo},
-	{0.70, ebid.ViewBidHistory},
-	{0.78, ebid.BrowseCategories},
-	{0.85, ebid.BrowseRegions},
-	{0.95, ebid.SearchItemsByCategory},
-	{1.00, ebid.SearchItemsByRegion},
+}
+
+// readShares is read-hot's operation mix, taken from the repository's
+// Table 1 client emulator (internal/workload) rather than written down a
+// second time: a fixed-seed stream of the emulator, filtered to the
+// read-only DB and search operations an anonymous visitor can send
+// (AboutMe needs a login and is left out), counted once. The fixed seed
+// gives every workload seed the same mix.
+var readShares = sync.OnceValue(func() []opShare {
+	return emulatorShares(1, 200000, func(op string) bool {
+		switch opCategory(op) {
+		case ebid.CatReadOnlyDB, ebid.CatSearch:
+			return op != ebid.AboutMe
+		}
+		return false
+	})
+})
+
+// emulatorShares counts the operations keep accepts among the first n
+// requests of the Table 1 emulator's stream for seed, and returns their
+// cumulative shares in a fixed order.
+func emulatorShares(seed int64, n int, keep func(op string) bool) []opShare {
+	w := newTable1Walk(seed, 100, 250, 3300)
+	counts := map[string]int{}
+	total := 0
+	for k := 0; k < n; k++ {
+		if _, op, _, _ := w.next(k); keep(op) {
+			counts[op]++
+			total++
+		}
+	}
+	ops := make([]string, 0, len(counts))
+	for op := range counts {
+		ops = append(ops, op)
+	}
+	sort.Strings(ops)
+	out := make([]opShare, len(ops))
+	sum := 0
+	for i, op := range ops {
+		sum += counts[op]
+		out[i] = opShare{float64(sum) / float64(total), op}
+	}
+	return out
 }
 
 func (z *zipfReads) next(k int) (int, string, string, bool) {
 	x := z.rng.Float64()
-	op := readShares[len(readShares)-1].op
-	for _, s := range readShares {
+	op := z.shares[len(z.shares)-1].op
+	for _, s := range z.shares {
 		if x < s.upTo {
 			op = s.op
 			break

@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/httptest"
-	"net/url"
-	"runtime"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -95,7 +94,7 @@ func (t *tracer) end(i int) {
 // wrap times ServeHTTP of an HTTP layer for /ebid/ requests.
 func (t *tracer) wrap(name string, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/ebid/") {
+		if !t.on.Load() || !strings.HasPrefix(r.URL.Path, "/ebid/") {
 			h.ServeHTTP(w, r)
 			return
 		}
@@ -110,6 +109,9 @@ func (t *tracer) wrap(name string, h http.Handler) http.Handler {
 // component of the operation, and each entity call.
 func (t *tracer) interceptor() core.Interceptor {
 	return func(ctx context.Context, call *core.Call, next core.Handler) (any, error) {
+		if !t.on.Load() {
+			return next(ctx, call)
+		}
 		name, class := hopLayer(call.Component)
 		i := t.begin(name, class, 0)
 		res, err := next(ctx, call)
@@ -296,8 +298,9 @@ func attribute(spans []span, took map[int64]time.Duration) layerMeans {
 // from the packages' public constructors: db.New + ebid.LoadDataset, a
 // timed session store, ebid.New with the tracing interceptor, and
 // httpfront on loopback listeners; proxied workloads add fleet.NewRouter
-// over those listeners. Backends share one database, so a paper-size
-// dataset is loaded once.
+// over those listeners. Each backend has its own database, built the way
+// ebid-server builds it: behind ebid-proxy, which always gives its
+// backends WAL files, the WAL mirrors to a file.
 type inproc struct {
 	apps     []*ebid.App
 	handlers []http.Handler // untimed httpfront handlers
@@ -305,6 +308,8 @@ type inproc struct {
 	base     string         // what the generator targets
 	router   *fleet.Router
 	servers  []*http.Server
+	walDir   string
+	walFiles []*os.File
 }
 
 func listen(h http.Handler) (*http.Server, string, error) {
@@ -317,22 +322,61 @@ func listen(h http.Handler) (*http.Server, string, error) {
 	return srv, "http://" + ln.Addr().String(), nil
 }
 
-func buildInproc(w *Workload, t *tracer) (*inproc, error) {
-	p := &inproc{}
-	database := db.New(nil)
-	cfg := ebid.DefaultDataset()
-	cfg.Users, cfg.Items = int(w.Users), int(w.Items)
-	if err := ebid.LoadDataset(database, cfg); err != nil {
-		return nil, fmt.Errorf("dataset: %w", err)
+// loadDatabases builds one loaded database per backend, concurrently as
+// the fleet's processes do.
+func (p *inproc) loadDatabases(w *Workload, n int, workDir string) ([]*db.DB, error) {
+	if w.Backends > 0 {
+		var err error
+		if p.walDir, err = os.MkdirTemp(workDir, "traced-wal-"); err != nil {
+			return nil, err
+		}
+		for i := 0; i < n; i++ {
+			f, err := os.Create(filepath.Join(p.walDir, fmt.Sprintf("node%d.wal", i)))
+			if err != nil {
+				return nil, err
+			}
+			p.walFiles = append(p.walFiles, f)
+		}
 	}
-	n := w.Backends
-	if n == 0 {
-		n = 1
+	dbs := make([]*db.DB, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range dbs {
+		var wal *db.WAL
+		if p.walFiles != nil {
+			wal = db.NewWALWithSink(p.walFiles[i])
+		}
+		dbs[i] = db.New(wal)
+		cfg := ebid.DefaultDataset()
+		cfg.Users, cfg.Items = int(w.Users), int(w.Items)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = ebid.LoadDataset(dbs[i], cfg)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("dataset: %w", err)
+		}
+	}
+	return dbs, nil
+}
+
+func buildInproc(w *Workload, t *tracer, workDir string) (*inproc, error) {
+	p := &inproc{}
+	n := max(w.Backends, 1)
+	dbs, err := p.loadDatabases(w, n, workDir)
+	if err != nil {
+		p.close()
+		return nil, err
 	}
 	var fbs []*fleet.Backend
-	for i := 0; i < n; i++ {
+	for i, database := range dbs {
 		app, err := ebid.New(database, &timedStore{Store: session.NewFastS(), t: t}, nil)
 		if err != nil {
+			p.close()
 			return nil, err
 		}
 		app.Server.Use(t.interceptor())
@@ -372,6 +416,12 @@ func (p *inproc) close() {
 	for _, s := range p.servers {
 		s.Close()
 	}
+	for _, f := range p.walFiles {
+		f.Close()
+	}
+	if p.walDir != "" {
+		os.RemoveAll(p.walDir)
+	}
 }
 
 // tracedWindow is how long each in-process open-loop run lasts.
@@ -380,22 +430,29 @@ const tracedWindow = 3 * time.Second
 // traced runs the in-process assembly untraced and then traced at the
 // workload's rate, folds the spans into per-layer metrics, and runs the
 // ladder.
-func traced(w *Workload, seed int64, rep *report) error {
+func traced(w *Workload, seed int64, workDir string, rep *report) error {
 	t := &tracer{epoch: time.Now()}
-	p, err := buildInproc(w, t)
+	p, err := buildInproc(w, t, workDir)
 	if err != nil {
 		return err
 	}
 	defer p.close()
-	pop := newPopulation(w.newSource(seed), w.VirtualUsers)
-	warm(w, p.base, pop, 1)
 
-	// openLoop runs the assembly at the workload's rate and returns the
-	// median time from send to last byte. One connection keeps one
-	// request in flight, which the span stack needs; queueing behind it
-	// is left out so tracing overhead is not amplified by it.
-	openLoop := func(ids *atomic.Int64) (*gen, float64) {
-		g := &gen{base: p.base, rate: w.RateRPS, conns: 1, pop: pop, drain: 5 * time.Second, traceID: ids}
+	// pass warms the assembly and runs it at the workload's rate, traced
+	// or not, and returns the median time from send to last byte. Each
+	// pass draws a fresh population from the seed, so both send the same
+	// requests after the same warm-up. One connection keeps one request
+	// in flight, which the span stack needs; queueing behind it is left
+	// out so tracing overhead is not amplified by it.
+	pass := func(trace bool) (*gen, float64) {
+		pop := newPopulation(w.newSource(seed), w.VirtualUsers)
+		warm(w, p.base, pop, 1)
+		g := &gen{base: p.base, rate: w.RateRPS, conns: 1, pop: pop, drain: 5 * time.Second}
+		if trace {
+			g.traceID = new(atomic.Int64)
+			t.on.Store(true)
+			defer t.on.Store(false)
+		}
 		g.n = int(w.RateRPS * tracedWindow.Seconds())
 		g.start = time.Now().Add(10 * time.Millisecond)
 		var took []float64
@@ -406,10 +463,8 @@ func traced(w *Workload, seed int64, rep *report) error {
 		}
 		return g, median(took)
 	}
-	_, p50Plain := openLoop(nil)
-	t.on.Store(true)
-	g, p50Traced := openLoop(new(atomic.Int64))
-	t.on.Store(false)
+	_, p50Plain := pass(false)
+	g, p50Traced := pass(true)
 	if t.mixed {
 		rep.problem("traced run: spans of two requests interleaved")
 	}
@@ -465,153 +520,12 @@ func traced(w *Workload, seed int64, rep *report) error {
 	}
 	rep.Table = append(rep.Table, fmt.Sprintf("%-22s %10.2f %7.1f%%", "client-observed mean", m.client, 100.0))
 
+	// The assembly's router polls its backends; stop it so that work
+	// does not land in the ladder's rungs.
+	if p.router != nil {
+		p.router.Stop()
+	}
 	return ladder(w, seed, p, rep)
-}
-
-// rung is one ladder step: the workload's request stream sent through a
-// layer's entry point by one goroutine.
-type rung struct {
-	name string
-	do   func(vu int, op, query string, newVisit bool) error
-}
-
-// ladderBudget bounds each rung: it stops after this long or
-// ladderMaxOps requests, whichever comes first.
-const (
-	ladderBudget = 700 * time.Millisecond
-	ladderMaxOps = 20000
-)
-
-func ladder(w *Workload, seed int64, p *inproc, rep *report) error {
-	app, h := p.apps[0], p.handlers[0]
-	lr := fleet.NewRouter(cluster.LeastLoadedPolicy{}, []*fleet.Backend{{Name: "node0", URL: p.backends[0]}}, 0)
-	lr.Start()
-	defer lr.Stop()
-	rsrv, routerURL, err := listen(lr)
-	if err != nil {
-		return err
-	}
-	defer rsrv.Close()
-
-	sessions := map[int]string{}
-	visits := map[int]int{}
-	cookies := map[int]string{}
-	sock := &conn{addr: strings.TrimPrefix(p.backends[0], "http://")}
-	defer sock.close()
-	prox := &conn{addr: strings.TrimPrefix(routerURL, "http://")}
-	defer prox.close()
-	path := func(op, q string) string {
-		if q == "" {
-			return "/ebid/" + op
-		}
-		return "/ebid/" + op + "?" + q
-	}
-	viaConn := func(c *conn) func(int, string, string, bool) error {
-		return func(vu int, op, q string, nv bool) error {
-			if nv {
-				cookies[vu] = ""
-			}
-			_, _, _, ck, err := c.get(path(op, q), cookies[vu], 0)
-			if ck != "" {
-				cookies[vu] = ck
-			}
-			return err
-		}
-	}
-	rungs := []rung{
-		{"db.get", func(_ int, _ string, q string, _ bool) error {
-			table, key := rowOf(q)
-			tx, err := app.DB.Begin()
-			if err != nil {
-				return err
-			}
-			_, err = tx.Get(table, key)
-			if cerr := tx.Commit(); err == nil {
-				err = cerr
-			}
-			return err
-		}},
-		{"ebid.execute", func(vu int, op, q string, nv bool) error {
-			if nv {
-				visits[vu]++
-			}
-			if sessions[vu] == "" || nv {
-				sessions[vu] = fmt.Sprintf("ladder-%d-%d", vu, visits[vu])
-			}
-			args := &ebid.OpArgs{}
-			vals, _ := url.ParseQuery(q)
-			for k, v := range vals {
-				args.SetString(k, v[0])
-			}
-			_, err := app.Execute(context.Background(), &core.Call{Op: op, SessionID: sessions[vu], Args: args, TTL: time.Minute})
-			return err
-		}},
-		{"httpfront.handler", func(vu int, op, q string, nv bool) error {
-			if nv {
-				cookies[vu] = ""
-			}
-			req := httptest.NewRequest(http.MethodGet, path(op, q), nil)
-			if c := cookies[vu]; c != "" {
-				req.AddCookie(&http.Cookie{Name: "EBIDSESSION", Value: c})
-			}
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			for _, c := range rec.Result().Cookies() {
-				if c.Name == "EBIDSESSION" {
-					cookies[vu] = c.Value
-				}
-			}
-			return nil
-		}},
-		{"http.socket", viaConn(sock)},
-		{"fleet.proxy", viaConn(prox)},
-	}
-	ns := make([]float64, len(rungs))
-	for i, r := range rungs {
-		clear(cookies)
-		src := w.newSource(seed)
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		began := time.Now()
-		n := 0
-		for ; n < ladderMaxOps && (n < 100 || time.Since(began) < ladderBudget); n++ {
-			vu, op, q, nv := src.next(n)
-			_ = r.do(vu, op, q, nv) // failures (e.g. a lapsed ladder session) still cost their time
-		}
-		el := time.Since(began)
-		runtime.ReadMemStats(&ms1)
-		ns[i] = float64(el.Nanoseconds()) / float64(n)
-		rep.add("ladder."+r.name+".ns_per_op", ns[i], "ns")
-		rep.add("ladder."+r.name+".allocs_per_op", float64(ms1.Mallocs-ms0.Mallocs)/float64(n), "count")
-	}
-	rep.Table = append(rep.Table, fmt.Sprintf("%-22s %10s %8s", "ladder rung", "ns/op", "of next"))
-	for i, r := range rungs {
-		share := "-"
-		if i+1 < len(rungs) {
-			s := ns[i] / ns[i+1]
-			rep.add("ladder."+r.name+".share_of_next", s, "ratio")
-			share = fmt.Sprintf("%7.1f%%", 100*s)
-		}
-		rep.Table = append(rep.Table, fmt.Sprintf("%-22s %10.0f %8s", r.name, ns[i], share))
-	}
-	return nil
-}
-
-// rowOf maps a request to the row it reads first, for the db.get rung.
-func rowOf(query string) (string, int64) {
-	vals, _ := url.ParseQuery(query)
-	for _, kv := range []struct{ key, table string }{
-		{"item", ebid.TblItems}, {"user", ebid.TblUsers},
-		{"category", ebid.TblCategories}, {"region", ebid.TblRegions},
-	} {
-		if v := vals.Get(kv.key); v != "" {
-			if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-				return kv.table, n
-			}
-		}
-	}
-	return ebid.TblCategories, 1
 }
 
 func printLayerTable(rep *report) {
