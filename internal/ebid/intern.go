@@ -20,11 +20,9 @@ import (
 // Keying by content makes staleness impossible — a row change produces
 // different bytes, which hash to a different key (or fail the equality
 // check on a bucket collision) and simply miss. The only concern is
-// growth, so the cache is sharded and bounded exactly like the store's
-// row cache (rowcache.go): at capacity an arbitrary resident entry is
-// evicted. Reset is wired to the same place the row cache resets (the
-// store's crash path clears rows; bodies die with InternReset from the
-// app when its database recovers) so a post-recovery fleet starts cold
+// growth, so the cache is sharded and bounded: at capacity an arbitrary
+// resident entry is evicted. Bodies die with InternReset when a node
+// recovers its database from the WAL, so a post-recovery fleet starts cold
 // rather than serving a warm cache that the row tier no longer backs.
 const (
 	internShards   = 32
@@ -48,8 +46,7 @@ type bodyIntern struct {
 // harmless because equal bytes means equal body.
 var interned bodyIntern
 
-// internHash is FNV-1a over the rendered bytes — the same cheap hash the
-// row cache uses for its keys.
+// internHash is FNV-1a over the rendered bytes.
 func internHash(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {
@@ -80,8 +77,8 @@ func (bi *bodyIntern) intern(b []byte) string {
 		s.m = make(map[uint64]string, internShardCap)
 	}
 	if len(s.m) >= internShardCap {
-		// Evict an arbitrary resident body (map iteration order), same
-		// policy as the row cache: bounded beats clever here.
+		// Evict an arbitrary resident body (map iteration order):
+		// bounded beats clever here.
 		for k := range s.m {
 			delete(s.m, k)
 			break
@@ -121,8 +118,8 @@ func BodyInternStats() (hits, misses uint64, entries int) {
 	return interned.stats()
 }
 
-// InternReset drops all interned bodies. The app calls it when its
-// database recovers, alongside the row cache reset.
+// InternReset drops all interned bodies. ebid-server calls it after
+// recovering its database from the WAL.
 func InternReset() {
 	interned.reset()
 }

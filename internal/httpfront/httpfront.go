@@ -31,6 +31,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/ebid"
+	"repro/internal/store/db"
 	"repro/internal/store/session"
 	"repro/internal/workload"
 )
@@ -73,12 +74,7 @@ type Front struct {
 	// executing it — a deliberately slowed replica for exercising
 	// queue-aware routing against a degraded backend over real sockets.
 	Degrade time.Duration
-	// Batch, when set, routes idempotent read-only operations through
-	// the micro-batching lane: concurrently-arriving reads coalesce per
-	// session shard into one back-to-back store pass (opt-in via the
-	// -batch-lane server flag). Writes and non-idempotent ops bypass it.
-	Batch *workload.Batcher
-	start time.Time
+	start   time.Time
 
 	inflight atomic.Int64
 	shedded  atomic.Int64
@@ -153,25 +149,14 @@ func (f *Front) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// cacheStats snapshots the node's read-path caches: the store's row
-// cache, the body-intern cache, and (when the lane is on) batching-lane
-// traffic. Surfaced on both admin status endpoints so cache efficacy is
-// observable on a live fleet, not only in benches.
+// cacheStats snapshots the body-intern cache's counters. Surfaced on
+// both admin status endpoints so cache efficacy is observable on a live
+// fleet, not only in benches.
 func (f *Front) cacheStats() map[string]any {
-	rh, rm, re := f.App.DB.RowCacheStats()
 	ih, im, ie := ebid.BodyInternStats()
-	out := map[string]any{
-		"row_cache":   map[string]any{"hits": rh, "misses": rm, "entries": re},
+	return map[string]any{
 		"body_intern": map[string]any{"hits": ih, "misses": im, "entries": ie},
 	}
-	if f.Batch != nil {
-		direct, batched, bypassed := f.Batch.Stats()
-		out["batch_lane"] = map[string]any{
-			"direct": direct, "batched": batched, "bypassed": bypassed,
-			"max_batch": f.Batch.MaxBatch,
-		}
-	}
-	return out
 }
 
 // serveFleet handles GET /admin/fleet/status: the front's own admission
@@ -343,8 +328,7 @@ func retryAfterSeconds(d time.Duration) int {
 // serveOp dispatches /ebid/<Op>?arg=value... into the application.
 func (f *Front) serveOp(w http.ResponseWriter, r *http.Request) {
 	op := strings.TrimPrefix(r.URL.Path, "/ebid/")
-	info, ok := ebid.Info(op)
-	if !ok {
+	if _, ok := ebid.Info(op); !ok {
 		http.Error(w, "unknown operation "+op, http.StatusNotFound)
 		return
 	}
@@ -435,14 +419,7 @@ func (f *Front) serveOp(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 		}
 	}
-	var body string
-	var err error
-	if f.Batch != nil && info.Idempotent &&
-		(info.Category == ebid.CatReadOnlyDB || info.Category == ebid.CatStatic) {
-		body, err = f.Batch.Do(r.Context(), call)
-	} else {
-		body, err = f.App.Execute(r.Context(), call)
-	}
+	body, err := f.App.Execute(r.Context(), call)
 	// Measure before the sampled replay: the shadow execution is
 	// detector overhead, not part of this request's latency.
 	elapsed := time.Since(began)
@@ -457,7 +434,6 @@ func (f *Front) serveOp(w http.ResponseWriter, r *http.Request) {
 		f.writeOpError(w, err)
 		return
 	}
-	_ = info
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprintln(w, body)
 }
@@ -477,6 +453,8 @@ func failureKind(err error) string {
 		return "hang"
 	case errors.Is(err, ebid.ErrNotLoggedIn):
 		return "session-lapsed"
+	case errors.Is(err, db.ErrConflict):
+		return "conflict"
 	default:
 		return "http-error"
 	}
@@ -506,6 +484,11 @@ func (f *Front) writeOpError(w http.ResponseWriter, err error) {
 		// client-recoverable event, not a server error — 401 tells the
 		// client to log in again, and fleet routers unpin the session.
 		http.Error(w, "session lapsed: "+err.Error(), http.StatusUnauthorized)
+	case errors.Is(err, db.ErrConflict):
+		// Lock conflicts fail fast and the transaction has already
+		// aborted, so nothing was written: the client may simply retry.
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "lock conflict: "+err.Error(), http.StatusServiceUnavailable)
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}

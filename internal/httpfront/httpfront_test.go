@@ -2,6 +2,7 @@ package httpfront
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -751,5 +752,74 @@ func TestDegradeStallsOps(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestLockConflictAnswers503AndRetrySucceeds holds the id_seq row that
+// RegisterNewUser must lock, so the operation's allocation fails fast
+// with db.ErrConflict. The client must see a retryable 503 with a
+// Retry-After hint (the aborted transaction wrote nothing), and once the
+// lock is released the retry must create exactly one user.
+func TestLockConflictAnswers503AndRetrySucceeds(t *testing.T) {
+	f := newFront(t)
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+	d := f.App.DB
+
+	users := func() int {
+		t.Helper()
+		n, err := d.RowCount(ebid.TblUsers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	before := users()
+
+	holder, err := d.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := holder.Lookup(ebid.TblIDSeq, "kind", "user")
+	if err != nil || len(keys) != 1 {
+		t.Fatalf("id_seq lookup = %v, %v; want one key", keys, err)
+	}
+	if _, err := holder.GetForUpdate(ebid.TblIDSeq, keys[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	register := func() *http.Response {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/ebid/RegisterNewUser?region=2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+
+	resp := register()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("conflicting RegisterNewUser: status = %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("conflict 503 carries no Retry-After header")
+	}
+	if got := users(); got != before {
+		t.Fatalf("users = %d after the conflict, want %d (nothing written)", got, before)
+	}
+
+	if err := holder.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if resp := register(); resp.StatusCode != http.StatusOK {
+		t.Fatalf("retried RegisterNewUser: status = %d, want 200", resp.StatusCode)
+	}
+	if got := users(); got != before+1 {
+		t.Fatalf("users = %d after the retry, want %d", got, before+1)
+	}
+	if got := failureKind(fmt.Errorf("wrapped: %w", db.ErrConflict)); got != "conflict" {
+		t.Fatalf("failureKind(conflict) = %q, want %q", got, "conflict")
 	}
 }

@@ -16,10 +16,9 @@
 //     Table 2 (worst case: database table repair needed).
 //
 // The store is safe for concurrent use. The read path is concurrent:
-// Get/Lookup/Scan take only a shared lock (Commit keeps exclusivity), rows
-// are immutable once installed — readers receive the live row, never a
-// copy — and hot Get lookups are served from a sharded read-through row
-// cache that commits invalidate before they return.
+// Get/Lookup/Scan take only a shared lock (Commit keeps exclusivity), and
+// rows are immutable once installed — readers receive the live row, never
+// a copy.
 package db
 
 import (
@@ -291,23 +290,17 @@ func (tt *txTable) collect(keep func(txID uint64) bool) []txRef {
 // Rows installed in tables are immutable — every write installs a fresh
 // Row object — so readers may hand the live row to callers without
 // copying. The crashed flag and the statistics counters are atomics so
-// the read fast path (including row-cache hits) never touches mu's write
-// side.
+// Begin, Crashed and Stats never take mu.
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*table
 	wal    *WAL
 	nextTx atomic.Uint64
-	// crashed is set under mu (write side) but read lock-free by the
-	// cache-hit fast path.
+	// crashed is set under mu (write side) but read lock-free by Begin
+	// and Crashed.
 	crashed atomic.Bool
 	// txs tracks live transactions so a crash can invalidate them.
 	txs txTable
-	// cache is the read-through row cache over committed rows. Fills
-	// happen under mu's read side; commits invalidate written keys while
-	// still holding the write side, so a cache hit is never older than
-	// the last committed write.
-	cache rowCache
 	// txPool recycles Tx objects (see Tx.Recycle). Per-DB so a pooled
 	// Tx's db pointer never changes, which keeps the generation-checked
 	// abort path (AbortIf) free of racy field rewrites.
@@ -362,11 +355,6 @@ func (d *DB) Stats() (commits, aborts, conflicts uint64) {
 	return d.commits.Load(), d.aborts.Load(), d.conflicts.Load()
 }
 
-// RowCacheStats reports row-cache hits, misses, and resident entries.
-func (d *DB) RowCacheStats() (hits, misses uint64, entries int) {
-	return d.cache.stats()
-}
-
 // Crash simulates a machine crash: all volatile state is dropped and every
 // open transaction becomes unusable. Committed data remains in the WAL;
 // call Recover to bring the database back.
@@ -376,7 +364,6 @@ func (d *DB) Crash() {
 	d.crashed.Store(true)
 	d.txs.invalidateAll()
 	d.tables = map[string]*table{}
-	d.cache.reset()
 }
 
 // Recover replays the WAL, restoring all committed state. It is the
@@ -385,7 +372,6 @@ func (d *DB) Recover() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.tables = map[string]*table{}
-	d.cache.reset()
 	for _, rec := range d.wal.committed() {
 		switch rec.Kind {
 		case recCreateTable:
