@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ebid"
 	"repro/internal/experiments"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/store/db"
 	"repro/internal/store/session"
@@ -777,14 +778,23 @@ func BenchmarkStoreTxCommit(b *testing.B) {
 }
 
 // BenchmarkFigureFleet_Routing regenerates the fleet routing comparison
-// (round-robin collapse vs shedding + least-loaded) and reports the p99
-// gap as the domain metric.
+// (round-robin collapse vs shedding + least-loaded) from the
+// fleet-roundrobin and fleet specs and reports the p99 gap as the domain
+// metric.
 func BenchmarkFigureFleet_Routing(b *testing.B) {
 	b.ReportAllocs()
+	f, ok := scenario.FigureByID("fleet")
+	if !ok {
+		b.Fatal("no fleet figure")
+	}
 	for i := 0; i < b.N; i++ {
-		r := experiments.FigureFleet(benchOpts)
-		b.ReportMetric(float64(r.RoundRobin.P99.Milliseconds()), "rr-p99-ms")
-		b.ReportMetric(float64(r.Routed.P99.Milliseconds()), "routed-p99-ms")
-		b.ReportMetric(float64(r.Routed.Shed), "shed")
+		r, err := scenario.RunFigure("scenarios", f, benchOpts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rr, routed := r.Outcomes[0], r.Outcomes[1]
+		b.ReportMetric(float64(rr.P99.Milliseconds()), "rr-p99-ms")
+		b.ReportMetric(float64(routed.P99.Milliseconds()), "routed-p99-ms")
+		b.ReportMetric(float64(routed.Shed), "shed")
 	}
 }

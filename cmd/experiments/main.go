@@ -66,13 +66,13 @@ func main() {
 	if *scenarioPath != "" || *matrix {
 		os.Exit(runScenarios(o, *scenarioPath, *matrix, *matrixOut))
 	}
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToLower(strings.TrimSpace(id))] = true
-		}
+	want, err := parseOnly(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	run := func(id string) bool { return len(want) == 0 || want[id] }
+	failed := false
 
 	start := time.Now()
 	var fig1 *experiments.Figure1Result
@@ -133,25 +133,19 @@ func main() {
 		section("Ablation (extension): sentinel-to-crash delay")
 		fmt.Println(experiments.AblationDelay(o, ""))
 	}
-	if run("brickcrash") {
-		section("Brick crash (extension): SSM brick cluster under load")
-		fmt.Println(experiments.FigureBrickCrash(o))
-	}
-	if run("elastic") {
-		section("Elastic ring (extension): shard add/remove under load")
-		fmt.Println(experiments.FigureElastic(o))
-	}
-	if run("autoscale") {
-		section("Autoscale (extension): control-plane-driven resize under load")
-		fmt.Println(experiments.FigureAutoscale(o))
-	}
-	if run("brickslow") {
-		section("Brick slow (extension): fail-stutter latency with/without slow-replica routing")
-		fmt.Println(experiments.FigureBrickSlow(o))
-	}
-	if run("fleet") {
-		section("Fleet routing (extension): shedding + least-loaded vs static round-robin")
-		fmt.Println(experiments.FigureFleet(o))
+	// The extension figures are defined by their scenario specs.
+	for _, f := range scenario.Figures() {
+		if !run(f.ID) {
+			continue
+		}
+		section(f.Title)
+		r, err := scenario.RunFigure("scenarios", f, o)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		fmt.Println(r)
+		failed = failed || !r.Passed()
 	}
 	if run("section61") {
 		section("Section 6.1")
@@ -165,6 +159,31 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "all experiments completed in %v\n", time.Since(start).Round(time.Millisecond))
+	if failed {
+		os.Exit(1)
+	}
+}
+
+// parseOnly turns the -only list into a set of catalog ids. An id the
+// catalog does not know is an error: a typo must not run nothing and
+// exit 0.
+func parseOnly(list string) (map[string]bool, error) {
+	known := map[string]bool{}
+	for _, e := range experiments.Catalog() {
+		known[e.ID] = true
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(list, ",") {
+		id = strings.ToLower(strings.TrimSpace(id))
+		if id == "" {
+			continue
+		}
+		if !known[id] {
+			return nil, fmt.Errorf("-only: unknown experiment id %q (see -list)", id)
+		}
+		want[id] = true
+	}
+	return want, nil
 }
 
 func section(title string) {

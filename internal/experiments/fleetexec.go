@@ -40,11 +40,12 @@ type FleetExecRun struct {
 	LostSessions int64
 }
 
-// FleetExecResult is the process-mode rerun of FigureFleet: the same
-// comparison — static round-robin vs queue-aware routing + shedding
-// with a degraded replica — but over ebid-server OS processes behind
-// the reverse proxy, with a SIGKILL + supervised respawn injected
-// mid-run in the routed phase.
+// FleetExecResult is the process-mode rerun of the fleet figure
+// (scenarios/fleet.toml and fleet-roundrobin.toml): the same comparison
+// — static round-robin vs queue-aware routing + shedding with a
+// degraded replica — but over ebid-server OS processes behind the
+// reverse proxy, with a SIGKILL + supervised respawn injected mid-run in
+// the routed phase.
 type FleetExecResult struct {
 	Backends     int
 	DegradedNode string

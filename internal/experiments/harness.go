@@ -7,6 +7,11 @@
 // authors' 2004 testbed; EXPERIMENTS.md records paper-vs-measured values
 // and verifies that the shape of every result (who wins, by what factor,
 // where crossovers fall) is preserved.
+//
+// The extension figures (brick crash, elastic ring, autoscale,
+// fail-stutter bricks, fleet routing) are not here: scenario specs under
+// scenarios/ define them, and internal/scenario runs and renders them on
+// this package's Harness.
 package experiments
 
 import (
@@ -102,8 +107,6 @@ type env struct {
 	recorder *metrics.Recorder
 	emulator *workload.Emulator
 	injector *faults.Injector
-	// bricks is non-nil when the store is the SSM brick cluster.
-	bricks *session.SSMCluster
 }
 
 // storeKind selects the session store.
@@ -112,32 +115,26 @@ type storeKind int
 const (
 	useFastS storeKind = iota
 	useSSM
-	useSSMCluster
 	// useSharedCluster gives every node of a multi-node environment the
 	// same SSM brick cluster, so session state survives node restarts
 	// and failover loses nothing.
 	useSharedCluster
 )
 
-// newBrickCluster builds the standard 4×3 W=2 experiment brick cluster
-// on the kernel's clock.
-func newBrickCluster(k *sim.Kernel) *session.SSMCluster {
-	cl, err := session.NewSSMCluster(session.ClusterConfig{
-		Shards: 4, Replicas: 3, WriteQuorum: 2, Now: k.Now, LeaseTTL: time.Hour,
-	})
-	if err != nil {
-		panic("experiments: cluster store: " + err.Error())
-	}
-	return cl
-}
-
-// newStore builds the session store for a kind on the kernel's clock.
+// newStore builds the session store for a kind on the kernel's clock;
+// useSharedCluster gets the standard 4×3 W=2 brick cluster.
 func newStore(k *sim.Kernel, kind storeKind) session.Store {
 	switch kind {
 	case useSSM:
 		return session.NewSSM(k.Now, time.Hour)
-	case useSSMCluster, useSharedCluster:
-		return newBrickCluster(k)
+	case useSharedCluster:
+		cl, err := session.NewSSMCluster(session.ClusterConfig{
+			Shards: 4, Replicas: 3, WriteQuorum: 2, Now: k.Now, LeaseTTL: time.Hour,
+		})
+		if err != nil {
+			panic("experiments: cluster store: " + err.Error())
+		}
+		return cl
 	default:
 		return session.NewFastS()
 	}
@@ -177,7 +174,7 @@ func newEnv(o Options, clients int, kind storeKind, nodeCfg cluster.NodeConfig) 
 		Categories: int64(ds.Categories),
 		Regions:    int64(ds.Regions),
 	})
-	e := &env{
+	return &env{
 		kernel:   k,
 		db:       d,
 		store:    store,
@@ -186,10 +183,6 @@ func newEnv(o Options, clients int, kind storeKind, nodeCfg cluster.NodeConfig) 
 		emulator: em,
 		injector: faults.NewInjector(n.Server(), d, store),
 	}
-	if cl, ok := store.(*session.SSMCluster); ok {
-		e.bricks = cl
-	}
-	return e
 }
 
 // clusterEnv is a multi-node environment sharing one database (and one
@@ -203,10 +196,6 @@ type clusterEnv struct {
 	emulator *workload.Emulator
 	// injectors, one per node.
 	injectors []*faults.Injector
-	sharedSSM *session.SSM
-	// bricks is the cross-node brick cluster shared by every node when
-	// the environment was built with useSharedCluster.
-	bricks *session.SSMCluster
 	// plane/fleet are set by fleetPlane: the control plane owning the
 	// balancer's drain state.
 	plane *controlplane.Plane
@@ -218,16 +207,6 @@ func newClusterEnv(o Options, nNodes, clientsPerNode int, kind storeKind) *clust
 }
 
 func newClusterEnvCfg(o Options, nNodes, clientsPerNode int, kind storeKind, nodeCfg cluster.NodeConfig) *clusterEnv {
-	return newClusterEnvFull(o, nNodes, clientsPerNode, kind, nodeCfg, nil, nil)
-}
-
-// newClusterEnvFull is newClusterEnvCfg plus an optional brick-cluster
-// builder, so experiments that need a non-standard ring geometry (the
-// autoscaler figure starts small, with a short lease TTL) can supply
-// their own shared cluster, and an optional per-node config hook for
-// heterogeneous fleets (the fleet figure degrades one node's worker
-// pool).
-func newClusterEnvFull(o Options, nNodes, clientsPerNode int, kind storeKind, nodeCfg cluster.NodeConfig, bricks func(*sim.Kernel) *session.SSMCluster, perNode func(i int, cfg *cluster.NodeConfig)) *clusterEnv {
 	k := sim.NewKernel(o.seed())
 	d := db.New(nil)
 	ds := experimentDataset(o)
@@ -235,32 +214,19 @@ func newClusterEnvFull(o Options, nNodes, clientsPerNode int, kind storeKind, no
 		panic("experiments: dataset: " + err.Error())
 	}
 	ce := &clusterEnv{kernel: k, db: d}
-	switch kind {
-	case useSSM:
-		ce.sharedSSM = session.NewSSM(k.Now, time.Hour)
-	case useSharedCluster:
-		if bricks != nil {
-			ce.bricks = bricks(k)
-		} else {
-			ce.bricks = newBrickCluster(k)
-		}
+	// FastS is node-local; the SSM kinds give every node one shared store.
+	var shared session.Store
+	if kind != useFastS {
+		shared = newStore(k, kind)
 	}
 	for i := 0; i < nNodes; i++ {
-		var store session.Store
-		switch kind {
-		case useSSM:
-			store = ce.sharedSSM
-		case useSharedCluster:
-			store = ce.bricks
-		default:
+		store := shared
+		if store == nil {
 			store = session.NewFastS()
 		}
 		cfg := nodeCfg
 		cfg.Name = nodeName(i)
 		cfg.Dataset = ds
-		if perNode != nil {
-			perNode(i, &cfg)
-		}
 		n, err := cluster.NewNode(k, d, store, cfg)
 		if err != nil {
 			panic("experiments: node: " + err.Error())
@@ -306,20 +272,7 @@ func pumpEvery(k *sim.Kernel, every time.Duration, fn func()) {
 	k.Schedule(every, tick)
 }
 
-// pumpMigration advances the brick cluster's migrator on a recurring
-// schedule; the step is a cheap no-op while no ring change is in flight.
-func pumpMigration(k *sim.Kernel, cl *session.SSMCluster, every time.Duration, batch int) {
-	pumpEvery(k, every, func() { cl.MigrateStep(batch) })
-}
-
 // pumpPlane runs one control-plane observe–decide–act round per period.
 func pumpPlane(k *sim.Kernel, plane *controlplane.Plane, every time.Duration) {
 	pumpEvery(k, every, plane.Tick)
-}
-
-// pumpReaper runs recurring lease GC on the brick cluster. Without it, a
-// load-watching controller would keep counting sessions whose leases
-// lapsed long ago.
-func pumpReaper(k *sim.Kernel, cl *session.SSMCluster, every time.Duration) {
-	pumpEvery(k, every, func() { cl.ReapExpired() })
 }

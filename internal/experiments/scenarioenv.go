@@ -15,11 +15,11 @@ import (
 	"repro/internal/workload"
 )
 
-// HarnessConfig describes the simulated environment an external driver —
-// chiefly the declarative scenario engine in internal/scenario — wants
-// built. It is the exported face of the same machinery the figures use
-// (newClusterEnvFull), with errors instead of panics so a bad spec fails
-// the scenario rather than the process.
+// HarnessConfig describes the simulated environment the declarative
+// scenario engine in internal/scenario wants built: the same kernel,
+// dataset, stores, nodes and balancer the hand-written figures build
+// with newEnv/newClusterEnv, with errors instead of panics so a bad spec
+// fails the scenario rather than the process.
 type HarnessConfig struct {
 	// Nodes is the application-server fleet size (default 1). Even a
 	// single node sits behind a LoadBalancer so routing policies, drains
@@ -136,17 +136,18 @@ func NewHarness(o Options, cfg HarnessConfig) (*Harness, error) {
 	return h, nil
 }
 
-// NewEmulator builds a client population against the harness balancer,
-// with dataset cardinalities pre-filled. idOffset keeps session ids of
-// several populations (baseline + surges) distinct.
-func (h *Harness) NewEmulator(clients, idOffset int, cfg workload.Config) *workload.Emulator {
+// NewEmulator builds a client population against fe (the harness
+// balancer, or a wrapper around it), with dataset cardinalities
+// pre-filled. idOffset keeps session ids of several populations
+// (baseline + surges) distinct.
+func (h *Harness) NewEmulator(fe workload.Frontend, clients, idOffset int, cfg workload.Config) *workload.Emulator {
 	cfg.Clients = clients
 	cfg.ClientIDOffset = idOffset
 	cfg.Users = int64(h.Dataset.Users)
 	cfg.Items = int64(h.Dataset.Items)
 	cfg.Categories = int64(h.Dataset.Categories)
 	cfg.Regions = int64(h.Dataset.Regions)
-	return workload.NewEmulator(h.Kernel, h.LB, h.Recorder, cfg)
+	return workload.NewEmulator(h.Kernel, fe, h.Recorder, cfg)
 }
 
 // PumpEvery schedules fn as a recurring kernel event.
@@ -158,17 +159,20 @@ func (h *Harness) PumpPlane(plane *controlplane.Plane, every time.Duration) {
 }
 
 // PumpMigration advances the brick migrator on a recurring schedule (a
-// no-op harness without a brick cluster).
+// no-op harness without a brick cluster); a step is a cheap no-op while
+// no ring change is in flight.
 func (h *Harness) PumpMigration(every time.Duration, batch int) {
 	if h.Bricks != nil {
-		pumpMigration(h.Kernel, h.Bricks, every, batch)
+		pumpEvery(h.Kernel, every, func() { h.Bricks.MigrateStep(batch) })
 	}
 }
 
-// PumpReaper runs recurring lease GC on the brick cluster.
+// PumpReaper runs recurring lease GC on the brick cluster. Without it, a
+// load-watching controller would keep counting sessions whose leases
+// lapsed long ago.
 func (h *Harness) PumpReaper(every time.Duration) {
 	if h.Bricks != nil {
-		pumpReaper(h.Kernel, h.Bricks, every)
+		pumpEvery(h.Kernel, every, func() { h.Bricks.ReapExpired() })
 	}
 }
 

@@ -223,10 +223,11 @@ func MatrixSpecs() []*Spec {
 					Description: fmt.Sprintf("builtin matrix: %s under %s store, %s routing",
 						kc.token, store, routing),
 					Cluster: ClusterSpec{
-						Nodes:        2,
-						Store:        store,
-						Routing:      routing,
-						DegradedNode: -1,
+						Nodes:           2,
+						Store:           store,
+						Routing:         routing,
+						DegradedNode:    -1,
+						SlowReadRouting: true,
 					},
 					Load: LoadSpec{
 						Clients:      120,

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func scenariosDir(t *testing.T) string {
@@ -42,10 +44,24 @@ func TestLoadDirShippedLibrary(t *testing.T) {
 	if negatives == 0 {
 		t.Fatal("library carries no negative-control (expect_fail) scenario")
 	}
-	for _, ported := range []string{"brickcrash", "elastic", "fleet"} {
-		if !names[ported] {
-			t.Errorf("ported figure scenario %q missing from library", ported)
+	// Every spec a figure runs ships in the library, and every figure id
+	// is in the catalog, so -list, -only and scenarios/ cannot drift apart.
+	catalog := map[string]bool{}
+	for _, e := range experiments.Catalog() {
+		catalog[e.ID] = true
+	}
+	for _, f := range Figures() {
+		if !catalog[f.ID] {
+			t.Errorf("figure %q missing from experiments.Catalog()", f.ID)
 		}
+		for _, name := range f.Specs {
+			if !names[name] {
+				t.Errorf("figure %q runs spec %q, missing from the library", f.ID, name)
+			}
+		}
+	}
+	if len(Figures()) != 5 {
+		t.Errorf("spec-backed figures = %d, want 5", len(Figures()))
 	}
 }
 

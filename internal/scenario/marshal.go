@@ -36,6 +36,9 @@ func (s *Spec) Marshal() string {
 			w.kv("degraded_node", int64(c.DegradedNode))
 			w.kvInt("degraded_workers", c.DegradedWorkers)
 		}
+		if c.slowReadRoutingSet {
+			w.kv("slow_read_routing", c.SlowReadRouting)
+		}
 	})
 
 	l := s.Load
@@ -84,6 +87,10 @@ func (s *Spec) Marshal() string {
 		w.kvDur("migrate_every", p.MigrateEvery)
 		w.kvInt("migrate_batch", p.MigrateBatch)
 		w.kvDur("reap_every", p.ReapEvery)
+	})
+
+	w.section("detect", func() {
+		w.kvInt("sample_every", s.Detect.SampleEvery)
 	})
 
 	for _, f := range s.Faults {

@@ -27,6 +27,7 @@ type Spec struct {
 	Load    LoadSpec
 	Surges  []SurgeSpec
 	Plane   PlaneSpec
+	Detect  DetectSpec
 	Faults  []FaultSpec
 	Ring    []RingSpec
 	Assert  AssertSpec
@@ -50,6 +51,10 @@ type ClusterSpec struct {
 	// (heterogeneous fleets, as in the fleet figure). -1 = none.
 	DegradedNode    int
 	DegradedWorkers int
+	// SlowReadRouting routes brick reads around degraded replicas
+	// (default true); false is the fail-stutter figure's baseline.
+	SlowReadRouting    bool
+	slowReadRoutingSet bool // whether the key appeared (for Marshal)
 }
 
 // LoadSpec is the [load] table.
@@ -97,6 +102,13 @@ type PlaneSpec struct {
 	MigrateEvery time.Duration // fixed-rate migration pump
 	MigrateBatch int
 	ReapEvery    time.Duration // lease GC period
+}
+
+// DetectSpec is the [detect] table.
+type DetectSpec struct {
+	// SampleEvery replays one in this many eligible live operations
+	// against a known-good instance (the comparison detector); 0 = off.
+	SampleEvery int
 }
 
 // FaultSpec is one [[fault]] schedule entry.
@@ -239,6 +251,15 @@ func Parse(file, src string) (*Spec, error) {
 		c.ShedWatermark = b.i(t, "shed_watermark", 0)
 		c.DegradedNode = b.i(t, "degraded_node", -1)
 		c.DegradedWorkers = b.i(t, "degraded_workers", 0)
+		c.SlowReadRouting = true
+		if v, line, ok := b.take(t, "slow_read_routing"); ok {
+			bv, ok := v.(bool)
+			if !ok {
+				b.fail(line, "slow_read_routing: want true or false")
+			}
+			c.SlowReadRouting = bv
+			c.slowReadRoutingSet = true
+		}
 		if c.Routing != "" && !routingTokens[c.Routing] {
 			b.fail(t.line, "cluster: unknown routing %q (want %s)", c.Routing, strings.Join(routingTokenList(), ", "))
 		}
@@ -249,6 +270,7 @@ func Parse(file, src string) (*Spec, error) {
 		}
 	} else {
 		s.Cluster.DegradedNode = -1
+		s.Cluster.SlowReadRouting = true
 	}
 
 	// [load]
@@ -316,6 +338,14 @@ func Parse(file, src string) (*Spec, error) {
 		p.MigrateEvery = b.dur(t, "migrate_every", 0)
 		p.MigrateBatch = b.i(t, "migrate_batch", 0)
 		p.ReapEvery = b.dur(t, "reap_every", 0)
+	}
+
+	// [detect]
+	if t := b.table("detect"); t != nil {
+		s.Detect.SampleEvery = b.i(t, "sample_every", 0)
+		if s.Detect.SampleEvery < 0 {
+			b.fail(t.line, "detect: sample_every must not be negative")
+		}
 	}
 
 	// [[fault]]
@@ -429,6 +459,9 @@ func (s *Spec) validate(file string) error {
 	}
 	if s.Plane.Pacer && !onBricks {
 		return bad("controlplane pacer requires cluster store ssm-cluster")
+	}
+	if !s.Cluster.SlowReadRouting && !onBricks {
+		return bad("slow_read_routing requires cluster store ssm-cluster")
 	}
 	a := s.Assert
 	if (a.LostSessions != nil || a.RingVersion != nil || a.Converged != nil || a.MinBrickRestarts > 0) && !onBricks {

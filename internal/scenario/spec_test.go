@@ -31,6 +31,9 @@ func TestParseMinimal(t *testing.T) {
 	if s.Cluster.DegradedNode != -1 {
 		t.Fatalf("degraded_node default = %d, want -1", s.Cluster.DegradedNode)
 	}
+	if !s.Cluster.SlowReadRouting || s.Detect.SampleEvery != 0 {
+		t.Fatalf("slow_read_routing must default to true and sample_every to 0: %+v %+v", s.Cluster, s.Detect)
+	}
 }
 
 // wantParseErr asserts the parse fails and the error names the file and
@@ -164,6 +167,12 @@ run = "1m"
 clients = 10
 run = "banana"
 `, 4, "run")
+	wantParseErr(t, minimalSpec+`[cluster]
+slow_read_routing = "yes"
+`, 6, "slow_read_routing: want true or false")
+	wantParseErr(t, minimalSpec+`[detect]
+sample_every = -1
+`, 0, "sample_every must not be negative")
 }
 
 func TestValidateCrossFieldRules(t *testing.T) {
@@ -187,6 +196,8 @@ func TestValidateCrossFieldRules(t *testing.T) {
 			"node 3 out of range"},
 		{"brick assert without bricks", minimalSpec + "[assert]\nlost_sessions = 0\n",
 			"require cluster store ssm-cluster"},
+		{"slow routing off without bricks", minimalSpec + "[cluster]\nslow_read_routing = false\n",
+			"slow_read_routing requires cluster store ssm-cluster"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
