@@ -777,6 +777,68 @@ func BenchmarkStoreTxCommit(b *testing.B) {
 	})
 }
 
+// BenchmarkStoreLookup measures one secondary-index lookup on an
+// items-shaped table at the paper's scale: 132,000 rows over 20
+// categories (6,600 keys per list) and 62 regions (~2,130). The in-repo
+// app benches load 100 items, so this is the bench that shows a lookup
+// whose cost grows faster than its result.
+func BenchmarkStoreLookup(b *testing.B) {
+	const rows, categories, regions = 132000, 20, 62
+	d := db.New(nil)
+	err := d.CreateTable(db.Schema{
+		Name: ebid.TblItems,
+		Columns: []db.Column{
+			{Name: "category", Type: db.Int},
+			{Name: "region", Type: db.Int},
+			{Name: "max_bid", Type: db.Float},
+		},
+		Indexes: []string{"category", "region"},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tx, err := d.Begin()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 1; i <= rows; i++ {
+		row := db.Row{"category": int64(i%categories + 1), "region": int64(i%regions + 1), "max_bid": float64(i % 500)}
+		if err := tx.InsertWithKey(ebid.TblItems, int64(i), row); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name, column string
+		values       int64
+		want         int
+	}{
+		{"Category", "category", categories, rows / categories},
+		{"Region", "region", regions, rows / regions},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tx, err := d.Begin()
+				if err != nil {
+					b.Fatal(err)
+				}
+				keys, err := tx.Lookup(ebid.TblItems, bc.column, int64(i)%bc.values+1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(keys) < bc.want {
+					b.Fatalf("Lookup(%s) = %d keys, want at least %d", bc.column, len(keys), bc.want)
+				}
+				_ = tx.Commit()
+				tx.Recycle()
+			}
+		})
+	}
+}
+
 // BenchmarkFigureFleet_Routing regenerates the fleet routing comparison
 // (round-robin collapse vs shedding + least-loaded) from the
 // fleet-roundrobin and fleet specs and reports the p99 gap as the domain

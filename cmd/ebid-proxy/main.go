@@ -18,7 +18,8 @@
 // A control plane ticks alongside: its fleet probe samples each
 // backend through the router, and with -rejuvenate-every the fleet
 // controller runs rolling drain→reboot→restore passes over the real
-// processes. Inspect it at /admin/controlplane/status.
+// processes. Inspect it at /admin/controlplane/status. CPU and heap
+// profiles of the proxy are served under /debug/pprof/.
 package main
 
 import (
@@ -39,6 +40,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/controlplane"
 	"repro/internal/fleet"
+	"repro/internal/httpfront"
 )
 
 func main() {
@@ -198,6 +200,7 @@ func main() {
 	mux.HandleFunc("/admin/controlplane/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, plane.Status())
 	})
+	httpfront.MountPprof(mux)
 
 	srv := &http.Server{Addr: *addr, Handler: mux}
 	sigCh := make(chan os.Signal, 1)

@@ -11,6 +11,7 @@
 //	curl localhost:8080/ebid/Authenticate?user=3
 //	curl -X POST 'localhost:8080/admin/microreboot?component=ViewItem'
 //	curl -i localhost:8080/ebid/ViewItem?item=1   # 503 + Retry-After while recovering
+//	go tool pprof localhost:8080/debug/pprof/profile  # live CPU profile
 //
 // With -store ssm-cluster the brick ring is elastic at runtime:
 //

@@ -433,6 +433,40 @@ func TestDatasetScale(t *testing.T) {
 	}
 }
 
+// TestDatasetIDSeqKeysDeterministic loads the dataset several times and
+// requires every load to give each id_seq kind the same primary key, so
+// two servers loaded from one config hold identical tables.
+func TestDatasetIDSeqKeysDeterministic(t *testing.T) {
+	idSeqKeys := func() map[string]int64 {
+		d := db.New(nil)
+		if err := LoadDataset(d, smallDataset()); err != nil {
+			t.Fatal(err)
+		}
+		tx, err := d.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Abort()
+		keys := map[string]int64{}
+		if err := tx.Scan(TblIDSeq, func(k int64, r db.Row) bool {
+			keys[r["kind"].(string)] = k
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return keys
+	}
+	want := idSeqKeys()
+	if len(want) != 5 {
+		t.Fatalf("id_seq kinds = %v, want 5", want)
+	}
+	for i := 0; i < 4; i++ {
+		if got := idSeqKeys(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("load %d: id_seq keys %v, first load %v", i+2, got, want)
+		}
+	}
+}
+
 func TestIdentityManagerSequential(t *testing.T) {
 	app, _ := newApp(t)
 	var prev int64

@@ -271,15 +271,19 @@ func LoadDataset(d *db.DB, cfg DatasetConfig) error {
 			return err
 		}
 	}
-	// IdentityManager sequence rows.
-	for kind, next := range map[string]int64{
-		"user": int64(cfg.Users + 1),
-		"item": int64(cfg.Items + 1),
-		"bid":  int64(nBids + 1),
-		"buy":  1,
-		"fb":   1,
+	// IdentityManager sequence rows, in a fixed order so every load gives
+	// each kind the same key.
+	for _, seq := range []struct {
+		kind string
+		next int64
+	}{
+		{"user", int64(cfg.Users + 1)},
+		{"item", int64(cfg.Items + 1)},
+		{"bid", int64(nBids + 1)},
+		{"buy", 1},
+		{"fb", 1},
 	} {
-		if _, err := tx.Insert(TblIDSeq, db.Row{"kind": kind, "next": next}); err != nil {
+		if _, err := tx.Insert(TblIDSeq, db.Row{"kind": seq.kind, "next": seq.next}); err != nil {
 			_ = tx.Abort()
 			return err
 		}

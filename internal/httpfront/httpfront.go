@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"strconv"
 	"strings"
@@ -133,7 +134,20 @@ func (f *Front) Handler() http.Handler {
 	mux.HandleFunc("/admin/ssm/elastic", f.serveElastic)
 	mux.HandleFunc("/admin/controlplane/status", f.serveControlPlane)
 	mux.HandleFunc("/admin/fleet/status", f.serveFleet)
+	MountPprof(mux)
 	return mux
+}
+
+// MountPprof registers net/http/pprof's handlers under /debug/pprof/ on
+// mux, so a live process can be profiled on demand
+// (go tool pprof http://host/debug/pprof/profile). The handlers are
+// registered explicitly: no server here serves http.DefaultServeMux.
+func MountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // serveHealthz handles GET /healthz — the readiness/liveness probe a

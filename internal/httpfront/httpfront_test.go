@@ -679,6 +679,28 @@ func TestFleetStatusEndpointWithSamplerAndPlane(t *testing.T) {
 
 // TestHealthzReady checks the supervisor's readiness probe answers with
 // the configured node identity.
+// TestPprofMounted: the server's handler, and any mux MountPprof is
+// given (the proxy's), answer the pprof endpoints without going through
+// http.DefaultServeMux.
+func TestPprofMounted(t *testing.T) {
+	proxyMux := http.NewServeMux()
+	MountPprof(proxyMux)
+	for name, h := range map[string]http.Handler{"server": newFront(t).Handler(), "proxy": proxyMux} {
+		srv := httptest.NewServer(h)
+		for _, path := range []string{"/debug/pprof/cmdline", "/debug/pprof/"} {
+			resp, err := http.Get(srv.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: GET %s = %d, want 200", name, path, resp.StatusCode)
+			}
+		}
+		srv.Close()
+	}
+}
+
 func TestHealthzReady(t *testing.T) {
 	f := newFront(t)
 	f.Node = "backend-2"

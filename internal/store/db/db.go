@@ -18,12 +18,20 @@
 // The store is safe for concurrent use. The read path is concurrent:
 // Get/Lookup/Scan take only a shared lock (Commit keeps exclusivity), and
 // rows are immutable once installed — readers receive the live row, never
-// a copy.
+// a copy. Each committed row exists once: the private clone Insert or
+// Update staged is the object the WAL logs and the table installs.
+//
+// Secondary indexes are sorted posting lists: per indexed column, a map
+// from value to the ascending, duplicate-free ids of the rows holding it.
+// Lookup returns a copy of one list with the transaction's own writes
+// merged in by binary search, so its cost is a copy of the result, not a
+// sort of it.
 package db
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -124,8 +132,11 @@ var (
 type table struct {
 	schema Schema
 	rows   map[int64]Row
-	// indexes: column name → value key → set of row ids.
-	indexes map[string]map[any]map[int64]struct{}
+	// indexes: column name → value key → posting list, the ids of the
+	// rows holding that value, ascending and duplicate-free. Empty lists
+	// are dropped. Keys mostly arrive ascending (the dataset load, Insert's
+	// allocator), so adding one is usually an append.
+	indexes map[string]map[any][]int64
 	// locks: row id → owning transaction id (simple exclusive row locks).
 	locks   map[int64]uint64
 	nextKey int64
@@ -135,38 +146,83 @@ func newTable(s Schema) *table {
 	t := &table{
 		schema:  s,
 		rows:    map[int64]Row{},
-		indexes: map[string]map[any]map[int64]struct{}{},
+		indexes: map[string]map[any][]int64{},
 		locks:   map[int64]uint64{},
 		nextKey: 1,
 	}
 	for _, col := range s.Indexes {
-		t.indexes[col] = map[any]map[int64]struct{}{}
+		t.indexes[col] = map[any][]int64{}
 	}
 	return t
 }
 
-func (t *table) indexAdd(id int64, r Row) {
-	for col, idx := range t.indexes {
-		v := r[col]
-		set := idx[v]
-		if set == nil {
-			set = map[int64]struct{}{}
-			idx[v] = set
-		}
-		set[id] = struct{}{}
+// put installs r as row id (a nil r deletes it) and keeps the indexes in
+// step. r is installed as is: rows are immutable once staged.
+func (t *table) put(id int64, r Row) {
+	old := t.rows[id]
+	if r == nil {
+		delete(t.rows, id)
+	} else {
+		t.rows[id] = r
+	}
+	t.reindex(id, old, r)
+}
+
+// replay applies one committed WAL mutation, installing the log's own row
+// object (Recover and RepairTable share it; no copy is made).
+func (t *table) replay(rec walRecord) {
+	if rec.Kind == recDelete {
+		t.put(rec.Key, nil)
+		return
+	}
+	row := rec.Row
+	if row == nil {
+		// An empty row round-trips through a sink file as an omitted
+		// field; it is still a row.
+		row = Row{}
+	}
+	t.put(rec.Key, row)
+	if rec.Key >= t.nextKey {
+		t.nextKey = rec.Key + 1
 	}
 }
 
-func (t *table) indexRemove(id int64, r Row) {
+// reindex moves id's index entries from before's values to after's (a nil
+// row means absent). Only columns whose value changed are touched, so an
+// update of unindexed columns does no index work.
+func (t *table) reindex(id int64, before, after Row) {
 	for col, idx := range t.indexes {
-		v := r[col]
-		if set := idx[v]; set != nil {
-			delete(set, id)
-			if len(set) == 0 {
-				delete(idx, v)
-			}
+		bv, av := before[col], after[col]
+		if before != nil && after != nil && bv == av {
+			continue
+		}
+		if before != nil {
+			indexRemove(idx, bv, id)
+		}
+		if after != nil {
+			indexAdd(idx, av, id)
 		}
 	}
+}
+
+func indexAdd(idx map[any][]int64, v any, id int64) {
+	list := idx[v]
+	if i, found := slices.BinarySearch(list, id); !found {
+		idx[v] = slices.Insert(list, i, id)
+	}
+}
+
+func indexRemove(idx map[any][]int64, v any, id int64) {
+	list := idx[v]
+	i, found := slices.BinarySearch(list, id)
+	if !found {
+		return
+	}
+	if len(list) == 1 {
+		delete(idx, v)
+		return
+	}
+	idx[v] = slices.Delete(list, i, i+1)
 }
 
 // validate checks r against the schema. Corrupted writes bypass this via
@@ -376,35 +432,12 @@ func (d *DB) Recover() error {
 		switch rec.Kind {
 		case recCreateTable:
 			d.tables[rec.Table] = newTable(*rec.Schema)
-		case recInsert:
+		case recInsert, recUpdate, recDelete:
 			t := d.tables[rec.Table]
 			if t == nil {
 				return fmt.Errorf("db: WAL references unknown table %q", rec.Table)
 			}
-			t.rows[rec.Key] = rec.Row.clone()
-			t.indexAdd(rec.Key, rec.Row)
-			if rec.Key >= t.nextKey {
-				t.nextKey = rec.Key + 1
-			}
-		case recUpdate:
-			t := d.tables[rec.Table]
-			if t == nil {
-				return fmt.Errorf("db: WAL references unknown table %q", rec.Table)
-			}
-			if old, ok := t.rows[rec.Key]; ok {
-				t.indexRemove(rec.Key, old)
-			}
-			t.rows[rec.Key] = rec.Row.clone()
-			t.indexAdd(rec.Key, rec.Row)
-		case recDelete:
-			t := d.tables[rec.Table]
-			if t == nil {
-				return fmt.Errorf("db: WAL references unknown table %q", rec.Table)
-			}
-			if old, ok := t.rows[rec.Key]; ok {
-				t.indexRemove(rec.Key, old)
-				delete(t.rows, rec.Key)
-			}
+			t.replay(rec)
 		}
 	}
 	d.crashed.Store(false)

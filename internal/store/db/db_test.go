@@ -3,6 +3,7 @@ package db
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -212,6 +213,84 @@ func TestLookupSeesOwnWrites(t *testing.T) {
 		t.Fatalf("deleted row still visible: %v", keys)
 	}
 	tx.Abort()
+}
+
+// TestLookupSeesOwnMovedRow: a row this transaction moved away from the
+// looked-up value drops out of its own Lookup, and one it moved in shows
+// up, before anything is committed.
+func TestLookupSeesOwnMovedRow(t *testing.T) {
+	d := newUserDB(t)
+	tx := mustBegin(t, d)
+	for i := 0; i < 3; i++ {
+		if _, err := tx.Insert("users", Row{"name": "u", "rating": int64(0), "region": int64(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx2 := mustBegin(t, d)
+	defer tx2.Abort()
+	if err := tx2.Update("users", 2, Row{"name": "u", "rating": int64(0), "region": int64(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if keys, _ := tx2.Lookup("users", "region", int64(1)); fmt.Sprint(keys) != "[1 3]" {
+		t.Fatalf("Lookup(region=1) after moving row 2 away = %v, want [1 3]", keys)
+	}
+	if keys, _ := tx2.Lookup("users", "region", int64(2)); fmt.Sprint(keys) != "[2]" {
+		t.Fatalf("Lookup(region=2) after moving row 2 in = %v, want [2]", keys)
+	}
+}
+
+// TestCallerRowMutationInvisible: the store keeps one copy of each
+// committed row, staged privately at Insert/Update, so a caller mutating
+// the map it passed in changes nothing Get returns — inside the
+// transaction, after Commit, and after Crash+Recover.
+func TestCallerRowMutationInvisible(t *testing.T) {
+	d := newUserDB(t)
+	tx := mustBegin(t, d)
+	in := Row{"name": "orig", "rating": int64(1), "region": int64(1)}
+	k, err := tx.Insert("users", in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in["name"] = "mutated-after-insert"
+	up := Row{"name": "updated", "rating": int64(2), "region": int64(1)}
+	k2, err := tx.Insert("users", Row{"name": "second", "rating": int64(1), "region": int64(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update("users", k2, up); err != nil {
+		t.Fatal(err)
+	}
+	up["name"] = "mutated-after-update"
+	check := func(stage string, tx *Tx) {
+		t.Helper()
+		for key, want := range map[int64]string{k: "orig", k2: "updated"} {
+			r, err := tx.Get("users", key)
+			if err != nil {
+				t.Fatalf("%s: Get(%d): %v", stage, key, err)
+			}
+			if r["name"] != want {
+				t.Fatalf("%s: row %d name = %v, want %q", stage, key, r["name"], want)
+			}
+		}
+	}
+	check("in tx", tx)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	in["name"], up["name"] = "mutated-after-commit", "mutated-after-commit"
+	tx2 := mustBegin(t, d)
+	check("after commit", tx2)
+	tx2.Abort()
+	d.Crash()
+	if err := d.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	tx3 := mustBegin(t, d)
+	defer tx3.Abort()
+	check("after recover", tx3)
 }
 
 func TestIndexMaintainedAcrossUpdate(t *testing.T) {

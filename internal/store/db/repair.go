@@ -40,9 +40,7 @@ func (d *DB) CorruptRow(tableName string, key int64, column string, value any) (
 	old := row[column]
 	damaged := row.clone()
 	damaged[column] = value
-	tbl.indexRemove(key, row)
-	tbl.rows[key] = damaged
-	tbl.indexAdd(key, damaged)
+	tbl.put(key, damaged)
 	return old, nil
 }
 
@@ -67,11 +65,8 @@ func (d *DB) SwapRows(tableName string, a, b int64) error {
 	if !ok {
 		return fmt.Errorf("%w: %d in %s", ErrNoRow, b, tableName)
 	}
-	tbl.indexRemove(a, ra)
-	tbl.indexRemove(b, rb)
-	tbl.rows[a], tbl.rows[b] = rb, ra
-	tbl.indexAdd(a, rb)
-	tbl.indexAdd(b, ra)
+	tbl.put(a, rb)
+	tbl.put(b, ra)
 	return nil
 }
 
@@ -119,21 +114,8 @@ func (d *DB) RepairTable(tableName string) (int, error) {
 		if rec.Table != tableName {
 			continue
 		}
-		switch rec.Kind {
-		case recInsert, recUpdate:
-			if prev, ok := fresh.rows[rec.Key]; ok {
-				fresh.indexRemove(rec.Key, prev)
-			}
-			fresh.rows[rec.Key] = rec.Row.clone()
-			fresh.indexAdd(rec.Key, rec.Row)
-			if rec.Key >= fresh.nextKey {
-				fresh.nextKey = rec.Key + 1
-			}
-		case recDelete:
-			if prev, ok := fresh.rows[rec.Key]; ok {
-				fresh.indexRemove(rec.Key, prev)
-				delete(fresh.rows, rec.Key)
-			}
+		if rec.Kind != recCreateTable {
+			fresh.replay(rec)
 		}
 	}
 	// Preserve the key allocator high-water mark.

@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -353,9 +354,13 @@ func (t *Tx) Delete(tableName string, key int64) error {
 	return nil
 }
 
-// Lookup returns the keys of committed rows whose indexed column equals
-// value. The column must be declared in Schema.Indexes. Uncommitted writes
-// of this transaction are merged in.
+// Lookup returns, in ascending order, the keys of the rows whose indexed
+// column equals value, as this transaction sees them: committed rows
+// merged with its own uncommitted writes. The column must be declared in
+// Schema.Indexes. The committed posting list is copied under db.mu's
+// shared side; the overlay is then merged into the copy by binary search,
+// dropping keys this transaction deleted or moved to another value and
+// adding keys it moved in.
 func (t *Tx) Lookup(tableName, column string, value any) ([]int64, error) {
 	t.db.mu.RLock()
 	if err := t.guard(); err != nil {
@@ -372,32 +377,19 @@ func (t *Tx) Lookup(tableName, column string, value any) ([]int64, error) {
 		t.db.mu.RUnlock()
 		return nil, fmt.Errorf("db: no index on %s.%s", tableName, column)
 	}
-	seen := map[int64]bool{}
-	var keys []int64
-	for id := range idx[value] {
-		seen[id] = true
-		keys = append(keys, id)
-	}
+	keys := slices.Clone(idx[value])
 	t.db.mu.RUnlock()
 	// Merge this transaction's overlay (owner-only state; no lock needed).
 	for id, row := range t.overlay[tableName] {
-		if row == nil {
-			if seen[id] {
-				// deleted by this tx: remove
-				for i, k := range keys {
-					if k == id {
-						keys = append(keys[:i], keys[i+1:]...)
-						break
-					}
-				}
-			}
-			continue
-		}
-		if row[column] == value && !seen[id] {
-			keys = append(keys, id)
+		i, found := slices.BinarySearch(keys, id)
+		match := row != nil && row[column] == value
+		switch {
+		case found && !match:
+			keys = slices.Delete(keys, i, i+1)
+		case !found && match:
+			keys = slices.Insert(keys, i, id)
 		}
 	}
-	sort64(keys)
 	return keys, nil
 }
 
@@ -425,7 +417,7 @@ func (t *Tx) Scan(tableName string, fn func(key int64, r Row) bool) error {
 			}
 		}
 	}
-	sort64(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
 		row := tbl.rows[k]
 		if ov, ok := t.overlayGet(tableName, k); ok {
@@ -439,14 +431,6 @@ func (t *Tx) Scan(tableName string, fn func(key int64, r Row) bool) error {
 		}
 	}
 	return nil
-}
-
-func sort64(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Commit atomically applies the transaction's writes, appends them to the
@@ -482,21 +466,10 @@ func (t *Tx) Commit() error {
 	// The in-memory log (what Recover replays) is written synchronously
 	// here; only the sink flush is deferred to the group.
 	wait := d.wal.appendCommit(id, t.writes)
+	// The staged rows are private clones (see Insert/Update) and the WAL
+	// shares them, so the table installs the same immutable object.
 	for _, w := range t.writes {
-		tbl := d.tables[w.Table]
-		switch w.Kind {
-		case recInsert, recUpdate:
-			if old, ok := tbl.rows[w.Key]; ok {
-				tbl.indexRemove(w.Key, old)
-			}
-			tbl.rows[w.Key] = w.Row.clone()
-			tbl.indexAdd(w.Key, w.Row)
-		case recDelete:
-			if old, ok := tbl.rows[w.Key]; ok {
-				tbl.indexRemove(w.Key, old)
-				delete(tbl.rows, w.Key)
-			}
-		}
+		d.tables[w.Table].put(w.Key, w.Row)
 	}
 	t.releaseLocks()
 	d.commits.Add(1)
