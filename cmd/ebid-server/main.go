@@ -48,6 +48,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -102,34 +103,17 @@ func main() {
 		"comparison detector: replay 1 in N idempotent operations against a known-good shadow instance and publish discrepancies (0 disables)")
 	flag.Parse()
 
-	// Crash-safe startup against the WAL: an existing non-empty log file
-	// means a previous incarnation of this node committed state — replay
-	// it (truncating any torn tail from a crash mid-flush) instead of
-	// truncating the file, so a SIGKILL + re-exec recovers everything
-	// that was committed. A fresh or empty file gets the seed dataset.
 	var wal *db.WAL
 	var walFile *os.File
 	recovered := false
 	if *walPath != "" {
-		fh, err := os.OpenFile(*walPath, os.O_RDWR|os.O_CREATE, 0o644)
+		var err error
+		wal, walFile, recovered, err = openWAL(*walPath)
 		if err != nil {
 			log.Fatalf("wal: %v", err)
 		}
-		walFile = fh
-		loaded, offset, err := db.LoadWAL(fh)
-		if err != nil {
-			log.Fatalf("wal: reading %s: %v", *walPath, err)
-		}
-		if loaded.Len() > 0 {
-			if err := fh.Truncate(offset); err != nil {
-				log.Fatalf("wal: truncating torn tail: %v", err)
-			}
-			if _, err := fh.Seek(0, io.SeekEnd); err != nil {
-				log.Fatalf("wal: %v", err)
-			}
-			wal = loaded
-			recovered = true
-			log.Printf("wal: recovering %d records from %s", loaded.Len(), *walPath)
+		if recovered {
+			log.Printf("wal: recovering %d records from %s", wal.Len(), *walPath)
 		}
 	}
 	var database *db.DB
@@ -141,12 +125,8 @@ func main() {
 		// Drop the interned response bodies so the node restarts cold
 		// end to end.
 		ebid.InternReset()
-		wal.AttachSink(walFile)
 		log.Printf("recovered %d tables from the WAL; skipping dataset load", len(database.Tables()))
 	} else {
-		if walFile != nil {
-			wal = db.NewWALWithSink(walFile)
-		}
 		database = db.New(wal)
 		cfg := ebid.DefaultDataset()
 		cfg.Users, cfg.Items = *users, *items
@@ -154,6 +134,16 @@ func main() {
 		if err := ebid.LoadDataset(database, cfg); err != nil {
 			log.Fatalf("dataset: %v", err)
 		}
+	}
+
+	if wal != nil {
+		// A failed WAL write leaves memory ahead of the file, and the
+		// WAL refuses every commit from then on: exit, so the supervisor
+		// respawns this node from what the file holds.
+		go func() {
+			<-wal.Failed()
+			log.Fatalf("wal: %v; exiting to restart from %s", wal.Err(), *walPath)
+		}()
 	}
 
 	start := time.Now()
@@ -336,6 +326,46 @@ func main() {
 	}
 	log.Printf("drained; exiting %d", code)
 	os.Exit(code)
+}
+
+// openWAL opens the -wal file for crash-safe startup. A file holding
+// records means a previous incarnation of this node committed state: it
+// is replayed (recovered=true) and the returned WAL appends to it, after
+// any torn final frame from a crash mid-write is truncated away. So a
+// SIGKILL + re-exec recovers everything that was committed. A missing,
+// empty or record-less file is restarted, and the returned WAL writes a
+// new log into it as the dataset loads. A file that fails to load — a
+// corrupt frame, a foreign format — is an error, returned before the
+// file is touched, so the damaged log is kept for inspection.
+func openWAL(path string) (wal *db.WAL, fh *os.File, recovered bool, err error) {
+	fh, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	defer func() {
+		if err != nil {
+			fh.Close()
+		}
+	}()
+	loaded, offset, err := db.LoadWAL(fh)
+	if err != nil {
+		return nil, nil, false, fmt.Errorf("reading %s: %w", path, err)
+	}
+	recovered = loaded.Len() > 0
+	if !recovered {
+		offset = 0
+	}
+	if err := fh.Truncate(offset); err != nil {
+		return nil, nil, false, fmt.Errorf("truncating torn tail: %w", err)
+	}
+	if _, err := fh.Seek(offset, io.SeekStart); err != nil {
+		return nil, nil, false, err
+	}
+	if !recovered {
+		return db.NewWALWithSink(fh), fh, false, nil
+	}
+	loaded.AttachSink(fh)
+	return loaded, fh, true, nil
 }
 
 // clusterOrNil avoids the typed-nil interface trap when no brick cluster

@@ -168,6 +168,16 @@ func (e *entity) Serve(ctx context.Context, call *core.Call) (any, error) {
 		}
 		err = tx.Update(e.table, v.key, v.row)
 	case opByIndex:
+		if v.limit > 0 {
+			// Paged: the first page goes in the key slot and the number
+			// of matches is the result (see invokeEntityPage).
+			var total int
+			var page []int64
+			total, page, err = tx.LookupPage(e.table, v.col, v.val, v.limit)
+			call.SetKeysResult(page)
+			res = total
+			break
+		}
 		var keys []int64
 		keys, err = tx.Lookup(e.table, v.col, v.val)
 		if err == nil {

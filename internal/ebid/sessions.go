@@ -48,6 +48,23 @@ func invokeEntityKeys(ctx context.Context, env *core.Env, call *core.Call, entit
 	return keys, err
 }
 
+// invokeEntityPage is invokeEntityKeys for a caller that shows one page
+// of the matches: the entity answers with the number of matching keys
+// and the first limit of them (db.Tx.LookupPage), so a search over
+// thousands of matches copies none of the others.
+func invokeEntityPage(ctx context.Context, env *core.Env, call *core.Call, entityName, col string, val any, limit int) (total int, page []int64, err error) {
+	args := byIndexArgs(col, val)
+	args.Limit = limit
+	child := call.Child(opByIndex, args)
+	res, err := env.Server.Invoke(ctx, entityName, child)
+	page, _ = child.KeysResult()
+	total, _ = res.(int)
+	if child.Release() {
+		args.release()
+	}
+	return total, page, err
+}
+
 // argInt64 reads one int64 operation argument, decoding straight off the
 // typed codec when present (no boxing) and falling back to the generic
 // path for map-backed args.
@@ -246,21 +263,17 @@ func searchItems(ctx context.Context, env *core.Env, call *core.Call, col string
 	if !ok || val <= 0 {
 		val = 1
 	}
-	ids, err := invokeEntityKeys(ctx, env, call, EntItem, byIndexArgs(col, val))
+	total, ids, err := invokeEntityPage(ctx, env, call, EntItem, col, val, 10)
 	if err != nil {
 		return nil, err
 	}
-	shown := len(ids)
-	if shown > 10 {
-		shown = 10
-	}
 	// Load the first page of results.
-	for _, id := range ids[:shown] {
+	for _, id := range ids {
 		if _, err := invokeEntity(ctx, env, call, EntItem, opLoad, keyArgs(nil, id)); err != nil {
 			return nil, err
 		}
 	}
-	call.SetBodyResult(render().s("<html>search ").s(col).s("=").i(val).s(": ").n(len(ids)).s(" items</html>").doneInterned())
+	call.SetBodyResult(render().s("<html>search ").s(col).s("=").i(val).s(": ").n(total).s(" items</html>").doneInterned())
 	return core.SlotResult, nil
 }
 

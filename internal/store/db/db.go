@@ -23,9 +23,9 @@
 //
 // Secondary indexes are sorted posting lists: per indexed column, a map
 // from value to the ascending, duplicate-free ids of the rows holding it.
-// Lookup returns a copy of one list with the transaction's own writes
-// merged in by binary search, so its cost is a copy of the result, not a
-// sort of it.
+// Lookup walks one list with the transaction's own writes merged in, so
+// its cost is a copy of the result, not a sort of it; LookupPage copies
+// only the first page of the result.
 package db
 
 import (
@@ -175,13 +175,7 @@ func (t *table) replay(rec walRecord) {
 		t.put(rec.Key, nil)
 		return
 	}
-	row := rec.Row
-	if row == nil {
-		// An empty row round-trips through a sink file as an omitted
-		// field; it is still a row.
-		row = Row{}
-	}
-	t.put(rec.Key, row)
+	t.put(rec.Key, rec.Row)
 	if rec.Key >= t.nextKey {
 		t.nextKey = rec.Key + 1
 	}
@@ -374,7 +368,8 @@ func New(wal *WAL) *DB {
 	return &DB{tables: map[string]*table{}, wal: wal}
 }
 
-// CreateTable registers a new table.
+// CreateTable registers a new table. Like Commit, it returns the WAL
+// sink's error when the log cannot be written.
 func (d *DB) CreateTable(s Schema) error {
 	d.mu.Lock()
 	if d.crashed.Load() {
@@ -385,13 +380,16 @@ func (d *DB) CreateTable(s Schema) error {
 		d.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrDupTable, s.Name)
 	}
+	wait, err := d.wal.append(walRecord{Kind: recCreateTable, Table: s.Name, Schema: &s})
+	if err != nil {
+		d.mu.Unlock()
+		return err
+	}
 	d.tables[s.Name] = newTable(s)
-	wait := d.wal.append(walRecord{Kind: recCreateTable, Table: s.Name, Schema: &s})
 	d.mu.Unlock()
 	// Wait for the sink flush outside d.mu so concurrent commits can form
 	// a group behind this one.
-	wait.Wait()
-	return nil
+	return wait.Wait()
 }
 
 // Tables returns the sorted table names.

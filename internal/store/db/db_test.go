@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -526,12 +525,19 @@ func TestWALSinkMirrors(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, `"users"`) {
-		t.Fatalf("WAL sink missing table record: %q", out)
+	loaded, _, err := LoadWAL(&buf)
+	if err != nil {
+		t.Fatalf("LoadWAL: %v", err)
 	}
-	if strings.Count(out, "\n") < 3 { // create + insert + commit mark
-		t.Fatalf("WAL sink too short: %q", out)
+	recs := loaded.records
+	if len(recs) != 3 { // create + insert + commit mark
+		t.Fatalf("WAL sink holds %d records, want 3: %+v", len(recs), recs)
+	}
+	if recs[0].Kind != recCreateTable || recs[0].Table != "users" || recs[0].Schema == nil {
+		t.Fatalf("WAL sink missing table record: %+v", recs[0])
+	}
+	if recs[1].Kind != recInsert || recs[2].Kind != recCommitMark || recs[1].TxID != recs[2].TxID {
+		t.Fatalf("WAL sink records = %+v, want insert then its commit mark", recs[1:])
 	}
 }
 

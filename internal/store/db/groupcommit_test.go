@@ -2,10 +2,8 @@ package db
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -77,15 +75,14 @@ func TestGroupCommitBatchesAndPreservesOrder(t *testing.T) {
 
 	// The sink must mirror the in-memory log exactly, in order — group
 	// commit moves the flush boundary, never the contents.
-	var mirrored []walRecord
-	dec := json.NewDecoder(strings.NewReader(sunk.String()))
-	for dec.More() {
-		var rec walRecord
-		if err := dec.Decode(&rec); err != nil {
-			t.Fatalf("sink decode: %v", err)
-		}
-		mirrored = append(mirrored, rec)
+	loaded, off, err := LoadWAL(bytes.NewReader(sunk.Bytes()))
+	if err != nil {
+		t.Fatalf("sink decode: %v", err)
 	}
+	if want := int64(sunk.Len()); off != want {
+		t.Fatalf("sink decoded to offset %d, want the whole %d bytes", off, want)
+	}
+	mirrored := loaded.records
 	w.mu.Lock()
 	mem := append([]walRecord(nil), w.records...)
 	w.mu.Unlock()

@@ -21,7 +21,8 @@ func itemSchema() Schema {
 
 // checkLookups compares every Lookup the test can ask for against a
 // brute-force filter over Scan, in tx's own view: each result must be
-// ascending, duplicate-free and hold exactly the keys Scan finds.
+// ascending, duplicate-free and hold exactly the keys Scan finds. Each
+// LookupPage must give Lookup's length and its first page.
 func checkLookups(t *testing.T, stage string, tx *Tx, values []any) {
 	t.Helper()
 	for _, col := range []string{"category", "region"} {
@@ -46,6 +47,15 @@ func checkLookups(t *testing.T, stage string, tx *Tx, values []any) {
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: Lookup(%s=%v) = %v, brute force %v", stage, col, v, got, want)
+			}
+			for _, limit := range []int{0, 1, 3, 10} {
+				total, page, err := tx.LookupPage("items", col, v, limit)
+				if err != nil {
+					t.Fatalf("%s: LookupPage(%s=%v, %d): %v", stage, col, v, limit, err)
+				}
+				if total != len(got) || !slices.Equal(page, got[:min(limit, len(got))]) {
+					t.Fatalf("%s: LookupPage(%s=%v, %d) = %d, %v; Lookup gives %v", stage, col, v, limit, total, page, got)
+				}
 			}
 		}
 	}

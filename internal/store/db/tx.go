@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 )
@@ -357,40 +358,68 @@ func (t *Tx) Delete(tableName string, key int64) error {
 // Lookup returns, in ascending order, the keys of the rows whose indexed
 // column equals value, as this transaction sees them: committed rows
 // merged with its own uncommitted writes. The column must be declared in
-// Schema.Indexes. The committed posting list is copied under db.mu's
-// shared side; the overlay is then merged into the copy by binary search,
-// dropping keys this transaction deleted or moved to another value and
-// adding keys it moved in.
+// Schema.Indexes. It is LookupPage with no page limit.
 func (t *Tx) Lookup(tableName, column string, value any) ([]int64, error) {
+	_, keys, err := t.LookupPage(tableName, column, value, math.MaxInt)
+	return keys, err
+}
+
+// LookupPage returns how many keys match an index lookup and the first
+// limit of them, ascending. Like Lookup it sees the transaction's own
+// writes: the committed posting list is walked in place under db.mu's
+// shared side, skipping keys this transaction deleted or moved to
+// another value and merging in keys it moved in. Only the page is
+// copied, so a search that shows 10 of thousands of matches copies 10.
+func (t *Tx) LookupPage(tableName, column string, value any, limit int) (total int, page []int64, err error) {
 	t.db.mu.RLock()
+	defer t.db.mu.RUnlock()
 	if err := t.guard(); err != nil {
-		t.db.mu.RUnlock()
-		return nil, err
+		return 0, nil, err
 	}
 	tbl, err := t.table(tableName)
 	if err != nil {
-		t.db.mu.RUnlock()
-		return nil, err
+		return 0, nil, err
 	}
 	idx, ok := tbl.indexes[column]
 	if !ok {
-		t.db.mu.RUnlock()
-		return nil, fmt.Errorf("db: no index on %s.%s", tableName, column)
+		return 0, nil, fmt.Errorf("db: no index on %s.%s", tableName, column)
 	}
-	keys := slices.Clone(idx[value])
-	t.db.mu.RUnlock()
-	// Merge this transaction's overlay (owner-only state; no lock needed).
+	list := idx[value]
+	// Sort this transaction's overlay (owner-only state) into the keys it
+	// drops from the committed list and the keys it adds.
+	var drop, add []int64
 	for id, row := range t.overlay[tableName] {
-		i, found := slices.BinarySearch(keys, id)
+		_, found := slices.BinarySearch(list, id)
 		match := row != nil && row[column] == value
 		switch {
 		case found && !match:
-			keys = slices.Delete(keys, i, i+1)
+			drop = append(drop, id)
 		case !found && match:
-			keys = slices.Insert(keys, i, id)
+			add = append(add, id)
 		}
 	}
-	return keys, nil
+	total = len(list) - len(drop) + len(add)
+	limit = max(0, min(limit, total))
+	if len(drop) == 0 && len(add) == 0 {
+		return total, slices.Clone(list[:limit]), nil
+	}
+	slices.Sort(drop)
+	slices.Sort(add)
+	page = make([]int64, 0, limit)
+	for i := 0; len(page) < limit; {
+		switch {
+		case len(add) > 0 && (i == len(list) || add[0] < list[i]):
+			page = append(page, add[0])
+			add = add[1:]
+		case len(drop) > 0 && drop[0] == list[i]:
+			drop = drop[1:]
+			i++
+		default:
+			page = append(page, list[i])
+			i++
+		}
+	}
+	return total, page, nil
 }
 
 // Scan calls fn for every committed row (merged with the transaction's
@@ -440,6 +469,12 @@ func (t *Tx) Scan(tableName string, fn func(key int64, r Row) bool) error {
 // database lock, so concurrent commits coalesce instead of serializing
 // one flush each.
 //
+// With a sink, Commit refuses a row value outside the Row contract, and
+// a WAL whose sink has failed, with nothing installed. An error from the
+// flush itself comes after the writes are installed in memory: they are
+// visible but not durable, the WAL has latched the failure, and the
+// process should restart from its file (WAL.Failed).
+//
 // Read-only transactions take a fast path: no exclusive lock, no WAL
 // commit mark — committing a transaction with no writes is a pure
 // bookkeeping operation.
@@ -464,8 +499,16 @@ func (t *Tx) Commit() error {
 	d.txs.remove(id)
 	// Durability first: the WAL records the commit before tables mutate.
 	// The in-memory log (what Recover replays) is written synchronously
-	// here; only the sink flush is deferred to the group.
-	wait := d.wal.appendCommit(id, t.writes)
+	// here; only the sink flush is deferred to the group. A refusal (a
+	// value the sink cannot hold, a latched sink failure) aborts the
+	// transaction with nothing logged or installed.
+	wait, err := d.wal.appendCommit(id, t.writes)
+	if err != nil {
+		t.releaseLocks()
+		d.aborts.Add(1)
+		d.mu.Unlock()
+		return err
+	}
 	// The staged rows are private clones (see Insert/Update) and the WAL
 	// shares them, so the table installs the same immutable object.
 	for _, w := range t.writes {
@@ -474,8 +517,7 @@ func (t *Tx) Commit() error {
 	t.releaseLocks()
 	d.commits.Add(1)
 	d.mu.Unlock()
-	wait.Wait()
-	return nil
+	return wait.Wait()
 }
 
 // Abort discards the transaction's writes and releases all locks. The

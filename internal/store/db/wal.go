@@ -1,9 +1,8 @@
 package db
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -24,41 +23,60 @@ const (
 // commit mark; only marked groups are replayed by Recover, so a crash
 // mid-commit never exposes partial transactions.
 type walRecord struct {
-	Kind   recKind `json:"kind"`
-	Table  string  `json:"table,omitempty"`
-	Key    int64   `json:"key,omitempty"`
-	Row    Row     `json:"row,omitempty"`
-	Schema *Schema `json:"schema,omitempty"`
-	TxID   uint64  `json:"tx,omitempty"`
+	Kind   recKind
+	Table  string
+	Key    int64
+	Row    Row
+	Schema *Schema
+	TxID   uint64
 }
+
+// ErrSinkFailed wraps the error of a failed sink flush. The WAL latches
+// the first one: the committers of that batch and every commit after it
+// get it back.
+var ErrSinkFailed = errors.New("db: WAL sink write failed")
 
 // walBatch is one group commit: the records of every transaction that
 // staged while the previous flush was in flight, written to the sink as a
 // single buffered write. Staging happens under the same lock as appending
 // to the in-memory log, so a batch's records are always the contiguous
 // range [start, end) of that log — no copy needed. done is created lazily
-// by the first follower and closes once the batch is on the sink.
+// by the first follower and closes once the batch is on the sink (or has
+// failed: err is set before done closes).
 type walBatch struct {
 	start, end int
 	done       chan struct{}
+	err        error
 }
 
 // WAL is an append-only write-ahead log. Records live in memory and are
-// optionally mirrored to an io.Writer as JSON lines for durability beyond
-// the process (the experiments use the in-memory form; cmd/ebid-server can
-// attach a file).
+// optionally mirrored to an io.Writer in the framed binary format of
+// walfile.go, for durability beyond the process (the experiments use the
+// in-memory form; cmd/ebid-server attaches a file).
 //
 // Sink mirroring uses group commit: concurrent committers staging while a
 // flush is in flight coalesce into one batch, and the whole batch reaches
 // the sink with a single Write — one flush per batch instead of one per
-// transaction. The in-memory record list stays authoritative and is
-// appended synchronously under w.mu, so replay order always equals commit
-// order and Recover's semantics are unchanged; only the sink's flush
-// boundary moves.
+// transaction. The in-memory record list is appended synchronously under
+// w.mu, so replay order always equals commit order and Recover's
+// semantics are unchanged; only the sink's flush boundary moves.
+//
+// A sink failure is not papered over: the flush's error goes to every
+// committer in its batch, and the WAL latches it, so every later commit
+// fails before installing anything. Memory past the failed batch no
+// longer matches the file; the owner of the process should restart it
+// from the file (see Failed).
 type WAL struct {
 	mu      sync.Mutex
 	records []walRecord
 	sink    io.Writer
+	// needHeader is set until the file header has gone out with a
+	// batch: NewWALWithSink starts a file, AttachSink continues one.
+	needHeader bool
+	// err is the latched sink failure; failed, once made by Failed,
+	// closes when err is set.
+	err    error
+	failed chan struct{}
 	// cur is the open batch the next stager joins; nil when the next
 	// stager should lead a new batch. free is a spent batch available for
 	// reuse (only batches no follower ever waited on). Guarded by mu.
@@ -69,10 +87,10 @@ type WAL struct {
 	// mu.
 	window time.Duration
 
-	// flushMu serializes sink flushes; buf and enc belong to the flusher.
+	// flushMu serializes sink flushes; buf, the encoded batch, belongs to
+	// the flusher and is reused across batches.
 	flushMu sync.Mutex
-	buf     bytes.Buffer
-	enc     *json.Encoder
+	buf     []byte
 
 	// group-commit stats, guarded by mu.
 	batches  uint64
@@ -83,92 +101,45 @@ type WAL struct {
 // NewWAL returns an in-memory WAL.
 func NewWAL() *WAL { return &WAL{} }
 
-// NewWALWithSink returns a WAL that additionally mirrors every record to w.
+// NewWALWithSink returns a WAL that additionally mirrors every record to
+// w, starting a new WAL file: the file header goes out with the first
+// batch.
 func NewWALWithSink(w io.Writer) *WAL {
-	wal := &WAL{sink: w}
-	wal.enc = json.NewEncoder(&wal.buf)
-	return wal
+	return &WAL{sink: w, needHeader: true}
 }
 
-// LoadWAL reads a sink file's JSON-line records back into a fresh WAL —
-// the crash-safe startup path of a process whose previous incarnation
-// mirrored its log to disk. Reading stops at the first damaged record (a
-// crash mid-write leaves a torn tail); the returned offset is the byte
-// position of the last intact record, which the caller should truncate
-// the file to before appending new records. Commit-mark atomicity is
-// untouched: a transaction whose mark fell in the torn tail is simply
-// never replayed.
-func LoadWAL(r io.Reader) (w *WAL, offset int64, err error) {
-	w = &WAL{}
-	dec := json.NewDecoder(r)
-	dec.UseNumber()
-	schemas := map[string]*Schema{}
-	for {
-		var rec walRecord
-		if derr := dec.Decode(&rec); derr != nil {
-			if errors.Is(derr, io.EOF) {
-				return w, offset, nil
-			}
-			var syn *json.SyntaxError
-			if errors.As(derr, &syn) || errors.Is(derr, io.ErrUnexpectedEOF) {
-				// Torn tail: keep what decoded cleanly.
-				return w, offset, nil
-			}
-			return w, offset, derr
-		}
-		if rec.Kind == recCreateTable && rec.Schema != nil {
-			schemas[rec.Schema.Name] = rec.Schema
-		}
-		restoreRowTypes(rec.Row, schemas[rec.Table])
-		w.records = append(w.records, rec)
-		offset = dec.InputOffset()
-	}
-}
-
-// restoreRowTypes converts json.Number values decoded from a sink file
-// back to the Row contract's native Go types. encoding/json alone would
-// hand every number back as float64, so an Int column recovered after a
-// crash would no longer satisfy the int64 assertions the live code makes.
-// The table's schema (logged by CreateTable, so always earlier in the WAL
-// than any row touching it) decides; unknown columns fall back to
-// int-then-float parsing.
-func restoreRowTypes(r Row, s *Schema) {
-	for k, v := range r {
-		n, ok := v.(json.Number)
-		if !ok {
-			continue
-		}
-		if s != nil {
-			if col, ok := s.column(k); ok {
-				switch col.Type {
-				case Int:
-					if i, err := n.Int64(); err == nil {
-						r[k] = i
-						continue
-					}
-				case Float:
-					if f, err := n.Float64(); err == nil {
-						r[k] = f
-						continue
-					}
-				}
-			}
-		}
-		if i, err := n.Int64(); err == nil {
-			r[k] = i
-		} else if f, err := n.Float64(); err == nil {
-			r[k] = f
-		}
-	}
-}
-
-// AttachSink starts mirroring records appended from here on to sink.
-// Records already in the log (e.g. loaded by LoadWAL) are not rewritten.
+// AttachSink starts mirroring records appended from here on to sink,
+// which must continue the file LoadWAL read this log from (header
+// included, truncated to LoadWAL's offset). Records already in the log
+// are not rewritten.
 func (w *WAL) AttachSink(sink io.Writer) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.sink = sink
-	w.enc = json.NewEncoder(&w.buf)
+	w.needHeader = false
+}
+
+// Err returns the latched sink failure, or nil.
+func (w *WAL) Err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err
+}
+
+// Failed returns a channel that is closed once a sink flush has failed
+// (Err then says why). A process serving from this WAL watches it and
+// exits, so its supervisor restarts it from the file instead of letting
+// it serve state the file does not hold.
+func (w *WAL) Failed() <-chan struct{} {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.failed == nil {
+		w.failed = make(chan struct{})
+		if w.err != nil {
+			close(w.failed)
+		}
+	}
+	return w.failed
 }
 
 // SetCommitWindow sets how long a group-commit leader waits for followers
@@ -189,7 +160,7 @@ func (w *WAL) GroupCommitStats() (batches, records uint64, maxBatch int) {
 	return w.batches, w.flushed, w.maxBatch
 }
 
-// walWait is a pending sink flush: the staged batch plus this staffer's
+// walWait is a pending sink flush: the staged batch plus this stager's
 // role in it. The zero value waits for nothing, so the no-sink path needs
 // no branch at the call sites. A value type — handing it back costs no
 // allocation, unlike a wait closure.
@@ -200,46 +171,64 @@ type walWait struct {
 }
 
 // Wait blocks until the staged records reach the sink — the batch leader
-// performs the flush, followers ride it. Callers must not hold database
-// locks (that is what lets concurrent commits pile into the batch).
-func (ww walWait) Wait() {
+// performs the flush, followers ride it — and returns the flush's error.
+// Callers must not hold database locks (that is what lets concurrent
+// commits pile into the batch).
+func (ww walWait) Wait() error {
 	if ww.b == nil {
-		return
+		return nil
 	}
 	if ww.leader {
-		ww.w.flushBatch(ww.b)
-		return
+		return ww.w.flushBatch(ww.b)
 	}
 	<-ww.b.done
+	return ww.b.err
 }
 
 // append logs one record. The returned walWait blocks until the record
 // reaches the sink (no-op when there is no sink); callers must invoke it
-// without holding database locks.
-func (w *WAL) append(rec walRecord) walWait {
+// without holding database locks. After a sink failure it logs nothing
+// and returns the latched error.
+func (w *WAL) append(rec walRecord) (walWait, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.err != nil {
+		return walWait{}, w.err
+	}
 	w.records = append(w.records, rec)
 	if w.sink == nil {
-		return walWait{}
+		return walWait{}, nil
 	}
-	return w.stageLocked(1)
+	return w.stageLocked(1), nil
 }
 
 // appendCommit writes a transaction's mutations followed by a commit mark,
-// as one atomic group. The returned walWait is as for append.
-func (w *WAL) appendCommit(txID uint64, writes []walRecord) walWait {
+// as one atomic group. The returned walWait is as for append. With a sink
+// it first checks that every record can be framed (checkRecord), so a
+// value the file cannot hold fails the commit before anything is logged
+// or installed; after a sink failure it returns the latched error.
+func (w *WAL) appendCommit(txID uint64, writes []walRecord) (walWait, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.err != nil {
+		return walWait{}, w.err
+	}
+	if w.sink != nil {
+		for i := range writes {
+			if err := checkRecord(&writes[i]); err != nil {
+				return walWait{}, err
+			}
+		}
+	}
 	for _, rec := range writes {
 		rec.TxID = txID
 		w.records = append(w.records, rec)
 	}
 	w.records = append(w.records, walRecord{Kind: recCommitMark, TxID: txID})
 	if w.sink == nil {
-		return walWait{}
+		return walWait{}, nil
 	}
-	return w.stageLocked(len(writes) + 1)
+	return w.stageLocked(len(writes) + 1), nil
 }
 
 // stageLocked queues the last n in-memory records for the sink. Caller
@@ -263,16 +252,18 @@ func (w *WAL) stageLocked(n int) walWait {
 	b.start = len(w.records) - n
 	b.end = len(w.records)
 	b.done = nil
+	b.err = nil
 	w.cur = b
 	w.batches++
 	return walWait{w: w, b: b, leader: true}
 }
 
 // flushBatch is the leader's wait: linger for the commit window, seal the
-// batch, and push it to the sink in one write. flushMu makes flushes
-// strictly sequential, so a new leader formed during this flush cannot
-// overtake it.
-func (w *WAL) flushBatch(b *walBatch) {
+// batch, encode it and push it to the sink in one write. flushMu makes
+// flushes strictly sequential, so a new leader formed during this flush
+// cannot overtake it, and a failure is latched before the next flush
+// starts, so nothing is written past a failed batch.
+func (w *WAL) flushBatch(b *walBatch) error {
 	w.mu.Lock()
 	window := w.window
 	w.mu.Unlock()
@@ -280,6 +271,7 @@ func (w *WAL) flushBatch(b *walBatch) {
 		time.Sleep(window)
 	}
 	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
 	// Seal: stagers from here on start the next batch. No follower can
 	// join after this point, so b's range and done channel are final.
 	w.mu.Lock()
@@ -288,20 +280,31 @@ func (w *WAL) flushBatch(b *walBatch) {
 	}
 	recs := w.records[b.start:b.end]
 	done := b.done
+	err := w.err
+	sink := w.sink
+	header := w.needHeader
+	w.needHeader = false
 	w.mu.Unlock()
-	for i := range recs {
-		_ = w.enc.Encode(recs[i]) // mirroring is best-effort; memory copy is authoritative
+	if err == nil {
+		if err = w.encode(header, recs); err == nil {
+			_, err = sink.Write(w.buf)
+		}
+		if err != nil {
+			err = fmt.Errorf("%w: %w", ErrSinkFailed, err)
+		}
 	}
-	if w.buf.Len() > 0 {
-		_, _ = w.sink.Write(w.buf.Bytes())
-		w.buf.Reset()
-	}
-	w.flushMu.Unlock()
 	w.mu.Lock()
-	w.flushed += uint64(len(recs))
-	if len(recs) > w.maxBatch {
-		w.maxBatch = len(recs)
+	if err != nil && w.err == nil {
+		w.err = err
+		if w.failed != nil {
+			close(w.failed)
+		}
 	}
+	if err == nil {
+		w.flushed += uint64(len(recs))
+		w.maxBatch = max(w.maxBatch, len(recs))
+	}
+	b.err = err
 	if done == nil {
 		// Nobody but this leader ever referenced b; recycle it.
 		w.free = b
@@ -310,6 +313,24 @@ func (w *WAL) flushBatch(b *walBatch) {
 	if done != nil {
 		close(done)
 	}
+	return err
+}
+
+// encode frames recs into w.buf, after the file header when header is
+// set. Caller holds flushMu.
+func (w *WAL) encode(header bool, recs []walRecord) error {
+	buf := w.buf[:0]
+	if header {
+		buf = append(buf, walMagic...)
+	}
+	var err error
+	for i := range recs {
+		if buf, err = appendFrame(buf, &recs[i]); err != nil {
+			break
+		}
+	}
+	w.buf = buf
+	return err
 }
 
 // Len returns the number of records in the log.
@@ -331,7 +352,7 @@ func (w *WAL) committed() []walRecord {
 			done[rec.TxID] = true
 		}
 	}
-	var out []walRecord
+	out := make([]walRecord, 0, len(w.records))
 	for _, rec := range w.records {
 		switch rec.Kind {
 		case recCreateTable:

@@ -330,7 +330,11 @@ func (c *SSMCluster) BrickByName(name string) (*Brick, error) {
 // flight and ownership differs. Lock-free: the state snapshot is
 // immutable.
 func (c *SSMCluster) owners(id string) (cur, old []*Brick) {
-	st := c.state.Load()
+	return c.state.Load().owners(id)
+}
+
+// owners is SSMCluster.owners against this state snapshot.
+func (st *ringState) owners(id string) (cur, old []*Brick) {
 	curShard := st.ring.lookup(id)
 	cur = st.shards[curShard]
 	if st.prev != nil {
@@ -647,9 +651,26 @@ func (c *SSMCluster) quorumReachable(shard []*Brick) error {
 // corruption is masked and healed. Renewal never rewrites blobs and
 // repair is versioned, so a read racing a newer write or a delete cannot
 // clobber either.
+//
+// A read that fails while the ring state changed under it — a migration
+// completed, possibly retiring the shard it read, or a resize began — is
+// retried against the new state: entries only ever move toward the
+// newest ring's owners, and ring changes are paced by resizes, so the
+// retries settle.
 func (c *SSMCluster) Read(id string) (*Session, error) {
+	for {
+		st := c.state.Load()
+		s, err := c.readAt(st, id)
+		if err == nil || c.state.Load() == st {
+			return s, err
+		}
+	}
+}
+
+// readAt is one Read attempt against state snapshot st.
+func (c *SSMCluster) readAt(st *ringState, id string) (*Session, error) {
 	now := c.cfg.Now()
-	cur, old := c.owners(id)
+	cur, old := st.owners(id)
 	s, _, err := c.readShard(cur, id, now)
 	if err == nil || old == nil || errors.Is(err, ErrCorrupted) {
 		return s, err
